@@ -63,21 +63,18 @@ def sandwich_decompose(p: Iterable[int]) -> SandwichDecomposition:
 
     Removing a sandwiched sock merges an equal pair and never creates a
     new sandwich at or left of the removal point, so one left-to-right
-    pass with a local recheck suffices and removals come out in position
-    order.
+    pass over a stack of kept socks suffices: each incoming sock pops the
+    top when it sandwiches it, and removals come out in position order.
+    One pop per step is enough, because the new top then equals the
+    incoming sock.
     """
-    work = list(p)
-    idx = list(range(len(work)))
+    kept: list[tuple[int, int]] = []  # (sock, original index)
     removed: list[tuple[int, int]] = []
-    i = 1
-    while i < len(work) - 1:
-        if work[i - 1] == work[i + 1] != work[i]:
-            removed.append((work[i], idx[i]))
-            del work[i]
-            del idx[i]
-        else:
-            i += 1
-    return SandwichDecomposition(tuple(removed), tuple(work))
+    for i, sock in enumerate(p):
+        if len(kept) >= 2 and kept[-2][0] == sock != kept[-1][0]:
+            removed.append(kept.pop())
+        kept.append((sock, i))
+    return SandwichDecomposition(tuple(removed), tuple(s for s, _ in kept))
 
 
 def phi_cons_via_sandwich(p: Iterable[int]) -> SockSeq:

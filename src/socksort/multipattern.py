@@ -98,24 +98,16 @@ def build_one_stack_sortable(n: int) -> tuple[SockSeq, ...]:
 
 def mode_combination_survey(max_n: int) -> dict[tuple[str, str], tuple[int, ...]]:
     """Sortable counts for every mode choice on the aba and aab shapes.
-    Keys are (aba mode, aab mode) value names."""
-    survey: dict[tuple[str, str], tuple[int, ...]] = {}
-    for aba_mode in Mode:
-        for aab_mode in Mode:
-            pats = frozenset(
-                {Pattern((0, 1, 0), aba_mode), Pattern((0, 0, 1), aab_mode)}
-            )
-            counts = []
-            for n in range(1, max_n + 1):
-                counts.append(
-                    sum(
-                        1
-                        for q in enumerate_standardized(n)
-                        if is_one_stack_sortable(q, pats)
-                    )
-                )
-            survey[(aba_mode.value, aab_mode.value)] = tuple(counts)
-    return survey
+    Keys are (aba mode, aab mode) value names.  The totals come from
+    ``count_one_stack_sortable``, so max_n takes its bounds
+    (1..MAX_COUNT_LENGTH)."""
+    return {
+        (aba_mode.value, aab_mode.value): count_one_stack_sortable(
+            max_n, {Pattern((0, 1, 0), aba_mode), Pattern((0, 0, 1), aab_mode)}
+        ).totals
+        for aba_mode in Mode
+        for aab_mode in Mode
+    }
 
 
 @dataclass(frozen=True)

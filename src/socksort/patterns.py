@@ -82,12 +82,15 @@ def _matches_factor(seq: SockSeq, shape: SockSeq) -> bool:
     )
 
 
-def _matches_subsequence(seq: SockSeq, shape: SockSeq) -> bool:
-    # Backtracking over positions with injective letter<->sock bindings.
+def _embeds(seq: Sequence[int], shape: SockSeq, fwd: dict[int, int]) -> bool:
+    """Whether shape occurs as a subsequence of seq, extending the partial
+    letter->sock binding fwd.  Backtracks over positions keeping the
+    binding injective; fwd is restored before returning False."""
     k = len(shape)
     n = len(seq)
-    fwd: dict[int, int] = {}
-    bound_socks: dict[int, int] = {}
+    if n < k:
+        return False
+    bound_socks = set(fwd.values())
 
     def extend(pi: int, si: int) -> bool:
         if pi == k:
@@ -103,11 +106,11 @@ def _matches_subsequence(seq: SockSeq, shape: SockSeq) -> bool:
             if sock in bound_socks:
                 continue
             fwd[letter] = sock
-            bound_socks[sock] = letter
+            bound_socks.add(sock)
             if extend(pi + 1, j + 1):
                 return True
             del fwd[letter]
-            del bound_socks[sock]
+            bound_socks.remove(sock)
         return False
 
     return extend(0, 0)
@@ -120,7 +123,7 @@ def contains(p: Iterable[int], pattern: Pattern) -> bool:
         return False
     if pattern.mode is Mode.CONSECUTIVE:
         return _matches_factor(seq, pattern.shape)
-    return _matches_subsequence(seq, pattern.shape)
+    return _embeds(seq, pattern.shape, {})
 
 
 def avoids(p: Iterable[int], pats: Iterable[Pattern]) -> bool:
@@ -138,39 +141,6 @@ def _prepare(pats: PatternSet) -> tuple[tuple[bool, SockSeq], ...]:
     )
 
 
-def _ends_at(seq: Sequence[int], final_sock: int, shape: SockSeq) -> bool:
-    # Classical occurrence whose last letter is final_sock, placed just
-    # past the end of seq.  Bindings for the last letter are fixed first.
-    k = len(shape)
-    if len(seq) < k - 1:
-        return False
-    fwd: dict[int, int] = {shape[-1]: final_sock}
-    bound_socks: dict[int, int] = {final_sock: shape[-1]}
-
-    def extend(pi: int, si: int) -> bool:
-        if pi == k - 1:
-            return True
-        letter = shape[pi]
-        for j in range(si, len(seq) - (k - 2 - pi)):
-            sock = seq[j]
-            bound = fwd.get(letter)
-            if bound is not None:
-                if sock == bound and extend(pi + 1, j + 1):
-                    return True
-                continue
-            if sock in bound_socks:
-                continue
-            fwd[letter] = sock
-            bound_socks[sock] = letter
-            if extend(pi + 1, j + 1):
-                return True
-            del fwd[letter]
-            del bound_socks[sock]
-        return False
-
-    return extend(0, 0)
-
-
 def _violates(stack: Sequence[int], candidate: int, prepared) -> bool:
     for consecutive, shape in prepared:
         k = len(shape)
@@ -179,7 +149,8 @@ def _violates(stack: Sequence[int], candidate: int, prepared) -> bool:
                 window = tuple(stack[len(stack) - k + 1 :]) + (candidate,)
                 if standardize(window) == shape:
                     return True
-        elif _ends_at(stack, candidate, shape):
+        elif _embeds(stack, shape[:-1], {shape[-1]: candidate}):
+            # A new classical occurrence must end at the candidate.
             return True
     return False
 

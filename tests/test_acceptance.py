@@ -9,6 +9,7 @@ in a few minutes.
 import json
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,7 @@ from socksort.stack_machine import (
 )
 
 SWEEP_MAX = 9
+GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_MEMBER_TRACE = """\
 dividers: bc‖ba‖bccdd
@@ -282,10 +284,11 @@ def test_c09_polynomial_scaling_against_the_brute_force_wall(capsys):
 
 def test_c10_verification_report_is_deterministic(capsys):
     """Two structured runs of the full verification suite at max_n=8 are
-    byte-identical."""
+    byte-identical, and equal to the committed golden report."""
     assert main(["verify", "8", "--format", "json-lines"]) == 0
     first = capsys.readouterr().out
     assert main(["verify", "8", "--format", "json-lines"]) == 0
     second = capsys.readouterr().out
     assert first, "verify produced no output"
     assert first == second
+    assert first == (GOLDEN / "verify8.jsonl").read_text(encoding="utf-8")

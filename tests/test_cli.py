@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from socksort import cli, multipattern
 from socksort.cli import main
+from socksort.core import enumerate_standardized
+from socksort.stack_machine import is_one_stack_sortable
 
 GOLDEN_MEMBER_TRACE = """\
 dividers: bc‖ba‖bccdd
@@ -129,13 +132,14 @@ def test_staircase_classical_matches_binomial(capsys):
     assert "match=yes" in out
 
 
-def test_staircase_cons_reports_mismatch(capsys):
-    # The full binomial overcounts for the consecutive map; the command
-    # reports the honest count and a failing comparison.
+def test_staircase_cons_matches_partial_sum(capsys):
+    # The consecutive map has fewer preimages than the binomial: abcc has
+    # 2, the partial sum C(1,0) + C(1,1).
     code, out = run(capsys, "staircase", "--n", "2", "--k", "2", "--map", "cons-aba")
-    assert code == 1
+    assert code == 0
     assert "preimages=2" in out
-    assert "match=NO" in out
+    assert "formula=2" in out
+    assert "match=yes" in out
 
 
 def test_count_1ss(capsys):
@@ -189,6 +193,38 @@ def test_verify_json_lines_parse(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert records[-1]["status"] == "OK"
     assert records[-1]["failed"] == 0
+
+
+def _first_unsortable(n):
+    return next(
+        q for q in enumerate_standardized(n)
+        if not is_one_stack_sortable(q, multipattern.ABA_AAB_PINNED)
+    )
+
+
+# Each breaks one property of the length-n construction and keeps the rest.
+BROKEN_CONSTRUCTIONS = {
+    "dropped": lambda built, n: built[1:],
+    "unsortable": lambda built, n: built[:-1] + (_first_unsortable(n),),
+    "duplicated": lambda built, n: built[:-1] + built[:1],
+    "unstandardized": lambda built, n: built[:-1] + (tuple(v + 1 for v in built[-1]),),
+    "short": lambda built, n: built[:-1] + ((0,) * (n - 1),),
+}
+
+
+@pytest.mark.parametrize("breakage", sorted(BROKEN_CONSTRUCTIONS))
+def test_verify_sortable_counts_catches_broken_construction(monkeypatch, breakage):
+    real = multipattern.build_one_stack_sortable
+
+    def broken(n):
+        built = real(n)
+        return BROKEN_CONSTRUCTIONS[breakage](built, n) if n == 5 else built
+
+    monkeypatch.setattr(multipattern, "build_one_stack_sortable", broken)
+    name, ok, detail = cli._verify_sortable_counts(7)
+    assert name == "sortable-counts"
+    assert not ok
+    assert detail == {"n": 5, "mismatch": "construction"}
 
 
 def test_bench_small(capsys):

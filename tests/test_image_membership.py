@@ -74,6 +74,21 @@ def test_evaluators_match_on_random_sequences(q):
     assert phi_aba_via_decomposition(q) == phi(q, CLASSICAL_ABA)
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        [i % 2 for i in range(3000)],  # abab...
+        [0 if i % 2 == 0 else i // 2 + 1 for i in range(3001)],  # a x1 a x2 a ...
+        [0] * 3000,  # one run
+    ],
+    ids=["alternating", "axax", "one-run"],
+)
+def test_sandwich_evaluator_on_long_adversarial_families(family):
+    # In the first two families each removal exposes the next sandwich,
+    # all along the word; the one-run word has none.
+    assert phi_cons_via_sandwich(family) == phi(family, CONS_ABA)
+
+
 # ---------------------------------------------------------------------------
 # membership, consecutive map
 

@@ -102,6 +102,12 @@ def test_mode_survey_pins_classical_aba():
     assert survey[("consecutive", "consecutive")] == (1, 2, 4, 7, 12, 20)
 
 
+@pytest.mark.parametrize("max_n", [0, 13])
+def test_mode_survey_takes_the_counter_bounds(max_n):
+    with pytest.raises(ValueError):
+        mode_combination_survey(max_n)
+
+
 class TestUnsortableWitness:
     @pytest.mark.parametrize("pats", [MIXED_ABBA, MIXED_ABCA], ids=["abba", "abca"])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])

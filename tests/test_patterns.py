@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from socksort.core import standardize
 from socksort.patterns import (
     AAB_CLASSICAL,
     AAB_CONSECUTIVE,
@@ -18,6 +21,20 @@ from socksort.patterns import (
 )
 
 small_seqs = st.lists(st.integers(min_value=0, max_value=4), max_size=10).map(tuple)
+short_seqs = st.lists(st.integers(min_value=0, max_value=4), max_size=8).map(tuple)
+
+REFERENCE_SHAPES = [
+    parse_pattern(text).shape
+    for text in ("ab", "aa", "aba", "aab", "abc", "abba", "abca", "abac")
+]
+
+
+def brute_occurs(seq, shape):
+    """Classical occurrence by trying every position subset."""
+    return any(
+        standardize(tuple(seq[i] for i in idx)) == shape
+        for idx in combinations(range(len(seq)), len(shape))
+    )
 
 
 class TestPatternType:
@@ -100,8 +117,6 @@ class TestContainment:
 
     @given(small_seqs)
     def test_consecutive_matches_standardized_window(self, p):
-        from socksort.core import standardize
-
         shape = (0, 1, 0)
         want = any(
             standardize(p[i : i + 3]) == shape for i in range(len(p) - 2)
@@ -142,3 +157,16 @@ class TestPushGuard:
             assert push_would_violate(stack, sock, pats) == (
                 not avoids(stack + (sock,), pats)
             )
+
+    @given(short_seqs, st.integers(min_value=0, max_value=5))
+    def test_classical_backtracker_agrees_with_brute_force(self, seq, sock):
+        # No avoidance precondition: the guard looks only for occurrences
+        # that use the candidate as their last letter.
+        for shape in REFERENCE_SHAPES:
+            pat = Pattern(shape, Mode.CLASSICAL)
+            assert contains(seq, pat) == brute_occurs(seq, shape)
+            ending_at_sock = any(
+                standardize(sub + (sock,)) == shape
+                for sub in combinations(seq, len(shape) - 1)
+            )
+            assert push_would_violate(seq, sock, {pat}) == ending_at_sock
