@@ -9,7 +9,7 @@ subsequence; consecutive occurrences must be a contiguous window.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,25 +85,40 @@ def _matches_factor(seq: SockSeq, shape: SockSeq) -> bool:
 def _embeds(seq: Sequence[int], shape: SockSeq, fwd: dict[int, int]) -> bool:
     """Whether shape occurs as a subsequence of seq, extending the partial
     letter->sock binding fwd.  Backtracks over positions keeping the
-    binding injective; fwd is restored before returning False."""
+    binding injective; fwd is restored before returning False.
+
+    Two prunes keep deep stacks cheap.  A letter is matched only at the
+    first fitting occurrence of its sock, since a later one leaves less
+    room for the rest of the shape.  A letter that recurs later in shape
+    is never bound at the last occurrence of its sock, since the
+    recurrence could then not be matched."""
     k = len(shape)
     n = len(seq)
     if n < k:
         return False
     bound_socks = set(fwd.values())
+    last = {sock: j for j, sock in enumerate(seq)}
+    recurs = [shape[pi] in shape[pi + 1 :] for pi in range(k)]
 
     def extend(pi: int, si: int) -> bool:
         if pi == k:
             return True
         letter = shape[pi]
-        for j in range(si, n - (k - pi - 1)):
+        stop = n - (k - pi - 1)
+        bound = fwd.get(letter)
+        if bound is not None:
+            try:
+                j = seq.index(bound, si, stop)
+            except ValueError:
+                return False
+            return extend(pi + 1, j + 1)
+        tried = set()
+        for j in range(si, stop):
             sock = seq[j]
-            bound = fwd.get(letter)
-            if bound is not None:
-                if sock == bound and extend(pi + 1, j + 1):
-                    return True
+            if sock in bound_socks or sock in tried:
                 continue
-            if sock in bound_socks:
+            tried.add(sock)
+            if recurs[pi] and last[sock] == j:
                 continue
             fwd[letter] = sock
             bound_socks.add(sock)
@@ -131,26 +146,55 @@ def avoids(p: Iterable[int], pats: Iterable[Pattern]) -> bool:
     return not any(contains(seq, pat) for pat in pats)
 
 
+Check = Callable[[list[int], int], bool]
+
+# Closed forms for the short shapes the library's maps use: (consecutive,
+# shape) -> check, where s is the stack read bottom to top and c the
+# candidate.  A classical occurrence ending at c picks earlier letters from
+# anywhere in s; a consecutive one is the top len(shape) - 1 socks.  Other
+# shapes fall back to _embeds or to renaming the top window.
+_CLOSED_FORMS: dict[tuple[bool, SockSeq], Check] = {
+    # Some other sock occurs twice: more non-c socks than distinct ones.
+    (False, (0, 0, 1)): lambda s, c: len(s) - s.count(c) > len(set(s)) - (c in s),
+    # Every c lies at or after the first one, so a different sock follows
+    # it exactly when those positions hold more than the c's.
+    (False, (0, 1, 0)): lambda s, c: c in s and s.count(c) != len(s) - s.index(c),
+    (True, (0, 0, 1)): lambda s, c: len(s) >= 2 and s[-2] == s[-1] != c,
+    (True, (0, 1, 0)): lambda s, c: len(s) >= 2 and s[-2] == c != s[-1],
+}
+
+
+def _check(pat: Pattern) -> Check:
+    consecutive = pat.mode is Mode.CONSECUTIVE
+    shape = pat.shape
+    closed = _CLOSED_FORMS.get((consecutive, shape))
+    if closed is not None:
+        return closed
+    k = len(shape)
+    if consecutive:
+        return lambda s, c: (
+            len(s) >= k - 1 and standardize(tuple(s[1 - k :]) + (c,)) == shape
+        )
+    head, letter = shape[:-1], shape[-1]
+    return lambda s, c: _embeds(s, head, {letter: c})
+
+
 @lru_cache(maxsize=None)
-def _prepare(pats: PatternSet) -> tuple[tuple[bool, SockSeq], ...]:
+def _prepare(pats: PatternSet) -> tuple[Check, ...]:
+    """One check per pattern.  check(stack, candidate) is True exactly when
+    some occurrence of the pattern in stack + [candidate] ends at the
+    candidate; the stack is a list read bottom to top and need not avoid
+    the pattern."""
     if not pats:
         raise ValueError("empty pattern set")
     return tuple(
-        (pat.mode is Mode.CONSECUTIVE, pat.shape)
-        for pat in sorted(pats, key=lambda q: (q.mode.value, q.shape))
+        _check(pat) for pat in sorted(pats, key=lambda q: (q.mode.value, q.shape))
     )
 
 
-def _violates(stack: Sequence[int], candidate: int, prepared) -> bool:
-    for consecutive, shape in prepared:
-        k = len(shape)
-        if consecutive:
-            if len(stack) >= k - 1:
-                window = tuple(stack[len(stack) - k + 1 :]) + (candidate,)
-                if standardize(window) == shape:
-                    return True
-        elif _embeds(stack, shape[:-1], {shape[-1]: candidate}):
-            # A new classical occurrence must end at the candidate.
+def _violates(stack: list[int], candidate: int, prepared: tuple[Check, ...]) -> bool:
+    for check in prepared:
+        if check(stack, candidate):
             return True
     return False
 
@@ -158,11 +202,12 @@ def _violates(stack: Sequence[int], candidate: int, prepared) -> bool:
 def push_would_violate(
     stack: Sequence[int], candidate: int, pats: Iterable[Pattern]
 ) -> bool:
-    """Would pushing candidate create a pattern occurrence in the stack?
+    """Would pushing candidate complete a pattern occurrence in the stack?
 
-    The stack is read bottom to top with the candidate on top.  Assuming
-    the stack already avoids pats, any new occurrence must end at the
-    candidate, so only those are checked.
+    The stack is read bottom to top with the candidate on top.  The answer
+    is True exactly when some occurrence of a pattern in pats ends at the
+    candidate; occurrences inside the stack alone are not looked at, and
+    the stack need not avoid pats.
     """
     pats_f = pats if isinstance(pats, frozenset) else frozenset(pats)
-    return _violates(tuple(stack), candidate, _prepare(pats_f))
+    return _violates(list(stack), candidate, _prepare(pats_f))

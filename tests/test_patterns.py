@@ -1,10 +1,10 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from socksort.core import standardize
+from socksort.core import enumerate_standardized, standardize
 from socksort.patterns import (
     AAB_CLASSICAL,
     AAB_CONSECUTIVE,
@@ -25,7 +25,9 @@ short_seqs = st.lists(st.integers(min_value=0, max_value=4), max_size=8).map(tup
 
 REFERENCE_SHAPES = [
     parse_pattern(text).shape
-    for text in ("ab", "aa", "aba", "aab", "abc", "abba", "abca", "abac")
+    for text in (
+        "ab", "aa", "aba", "aab", "abc", "aaa", "abb", "abba", "abca", "abac", "abab"
+    )
 ]
 
 
@@ -145,8 +147,8 @@ class TestPushGuard:
 
     @given(small_seqs, st.integers(min_value=0, max_value=4))
     def test_guard_agrees_with_containment_on_avoiding_stacks(self, stack, sock):
-        # Precondition of the guard: the stack itself already avoids the
-        # patterns.  Under it, the guard equals containment of stack+sock.
+        # On stacks that already avoid pats, the guard equals containment
+        # of stack+sock.
         for pats in (
             frozenset({ABA_CONSECUTIVE}),
             frozenset({ABA_CLASSICAL}),
@@ -170,3 +172,25 @@ class TestPushGuard:
                 for sub in combinations(seq, len(shape) - 1)
             )
             assert push_would_violate(seq, sock, {pat}) == ending_at_sock
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_guard_agrees_with_brute_force_exhaustively(self, mode):
+        # Every standardized stack up to length 6, every candidate up to
+        # one past the largest sock, every shape of length 2-4.  This pins
+        # the closed-form checks, the pruned backtracker and the window
+        # renaming on all of them.
+        stacks = [q for n in range(7) for q in enumerate_standardized(n)]
+        shapes = [q for k in range(2, 5) for q in enumerate_standardized(k)]
+        for stack, shape in product(stacks, shapes):
+            pat = frozenset({Pattern(shape, mode)})
+            k = len(shape)
+            for sock in range(max(stack, default=-1) + 2):
+                if mode is Mode.CLASSICAL:
+                    want = any(
+                        standardize(sub + (sock,)) == shape
+                        for sub in combinations(stack, k - 1)
+                    )
+                else:
+                    top = stack[len(stack) - k + 1 :]
+                    want = len(top) == k - 1 and standardize(top + (sock,)) == shape
+                assert push_would_violate(stack, sock, pat) == want, (stack, sock, shape)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from socksort.core import enumerate_standardized, is_sorted, standardize
+from socksort.image_membership import phi_aba_via_decomposition
 from socksort.patterns import (
     ABA_CLASSICAL,
     ABA_CONSECUTIVE,
@@ -152,3 +154,30 @@ def test_one_pass_sortable_counts_for_cons_map():
         for n in range(1, 7)
     ]
     assert got == [1, 2, 5, 13, 35, 95]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        [i % 2 for i in range(3000)],  # abab...
+        [0 if i % 2 == 0 else i // 2 + 1 for i in range(3001)],  # a x1 a x2 a ...
+        [0] * 3000,  # one run
+        random.Random(3000).choices(range(40), k=3000),
+    ],
+    ids=["alternating", "axax", "one-run", "random"],
+)
+def test_classical_aba_machine_on_long_families(family):
+    # Deep stacks: every push is checked against thousands of socks.  The
+    # increasing family is left out because the decomposition evaluator
+    # recurses once per sock there and overflows at this length.
+    assert phi(family, CLASSICAL_ABA) == phi_aba_via_decomposition(family)
+
+
+@pytest.mark.parametrize("text", ["abba,abab", "abca,abac"])
+def test_mixed_set_witness_maps_to_itself_at_length_99(text):
+    # a x1 a x2 ... a x49 a, well past the lengths verify reaches; the
+    # four-letter shapes go through the backtracking check.
+    witness = [0]
+    for i in range(1, 50):
+        witness += [i, 0]
+    assert standardize(phi(witness, parse_patterns(text))) == tuple(witness)
