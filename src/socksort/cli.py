@@ -12,11 +12,10 @@ import json
 import random
 import sys
 import time
-from math import comb
 
-from . import core, image_membership, multipattern, preimage_fertility, stack_machine
+from . import core, image_membership, multipattern, preimage_fertility, stack_machine, verify
 from .core import format_sequence, parse_sequence, standardize
-from .patterns import Mode, Pattern, PatternSet, parse_patterns
+from .patterns import PatternSet, parse_patterns
 
 MAPS: dict[str, PatternSet] = {
     "aba": preimage_fertility.CLASSICAL_ABA,
@@ -24,19 +23,6 @@ MAPS: dict[str, PatternSet] = {
 }
 
 DIVIDER = "‖"  # double vertical bar
-
-# Mixed pattern sets exercised by the unsortability suite: in each, one
-# shape revisits its first sock after an excursion and the other does not.
-UNSORTABLE_SETS: tuple[tuple[str, PatternSet], ...] = (
-    (
-        "abba,abab",
-        frozenset({Pattern((0, 1, 1, 0), Mode.CLASSICAL), Pattern((0, 1, 0, 1), Mode.CLASSICAL)}),
-    ),
-    (
-        "abca,abac",
-        frozenset({Pattern((0, 1, 2, 0), Mode.CLASSICAL), Pattern((0, 1, 0, 2), Mode.CLASSICAL)}),
-    ),
-)
 
 
 class Emitter:
@@ -321,185 +307,10 @@ def cmd_witness(args, emit: Emitter) -> int:
 # verify
 
 
-def _sweep(max_n: int):
-    """All standardized sequences up to max_n with both one-pass outputs."""
-    data: dict[int, list[tuple[core.SockSeq, core.SockSeq, core.SockSeq]]] = {}
-    for n in range(max_n + 1):
-        rows = []
-        for q in core.enumerate_standardized(n):
-            rows.append(
-                (
-                    q,
-                    stack_machine.phi(q, preimage_fertility.CONS_ABA),
-                    stack_machine.phi(q, preimage_fertility.CLASSICAL_ABA),
-                )
-            )
-        data[n] = rows
-    return data
-
-
-def _verify_evaluators(sweep) -> tuple[str, bool, dict]:
-    per_length = [len(sweep[n]) for n in sorted(sweep)]
-    if any(len(sweep[n]) != core.count_standardized(n) for n in sweep):
-        return "evaluator-identities", False, {
-            "reason": "enumeration size mismatch", "per_length": per_length,
-        }
-    checked = 0
-    for rows in sweep.values():
-        for q, out_cons, out_aba in rows:
-            if image_membership.phi_cons_via_sandwich(q) != out_cons:
-                return "evaluator-identities", False, {"sequence": format_sequence(q)}
-            if image_membership.phi_aba_via_decomposition(q) != out_aba:
-                return "evaluator-identities", False, {"sequence": format_sequence(q)}
-            checked += 1
-    return "evaluator-identities", True, {
-        "sequences": checked, "per_length": per_length,
-    }
-
-
-def _verify_image(sweep) -> tuple[str, bool, dict]:
-    checked = 0
-    members = {"cons-aba": 0, "aba": 0}
-    mismatches: list[dict] = []
-    for n, rows in sweep.items():
-        image_cons = {standardize(row[1]) for row in rows}
-        image_aba = {standardize(row[2]) for row in rows}
-        for q, _, _ in rows:
-            for name, test, image in (
-                ("cons-aba", image_membership.in_image_cons, image_cons),
-                ("aba", image_membership.in_image_aba, image_aba),
-            ):
-                got = test(q).member
-                want = q in image
-                if got != want:
-                    if len(mismatches) < 5:
-                        mismatches.append({
-                            "map": name, "sequence": format_sequence(q),
-                            "algorithm": got, "brute": want,
-                        })
-                else:
-                    members[name] += got
-            checked += 1
-    if mismatches:
-        return "image-membership", False, {"mismatches": mismatches}
-    return "image-membership", True, {
-        "sequences": checked,
-        "members_cons": members["cons-aba"],
-        "members_aba": members["aba"],
-    }
-
-
-def _verify_witnesses(sweep) -> tuple[str, bool, dict]:
-    checked = 0
-    for rows in sweep.values():
-        for q, _, _ in rows:
-            res = image_membership.in_image_cons(q)
-            if not res.member:
-                continue
-            if standardize(stack_machine.phi(res.witness, preimage_fertility.CONS_ABA)) != q:
-                return "witness-validity", False, {"sequence": format_sequence(q)}
-            checked += 1
-    return "witness-validity", True, {"witnesses": checked}
-
-
-def _verify_fertility_staircase(max_n: int) -> tuple[str, bool, dict]:
-    fert_cap = min(max_n, 7)
-    fert_checked = 0
-    for pats in (preimage_fertility.CONS_ABA, preimage_fertility.CLASSICAL_ABA):
-        for n in range(2, fert_cap + 1):
-            for m in range(1, n):
-                w = preimage_fertility.fertility_witness(m, n, pats)
-                count = preimage_fertility.preimages_of(w, pats).count
-                if count != m:
-                    return "fertility-staircase", False, {
-                        "witness": format_sequence(w), "count": count, "expected": m,
-                    }
-                fert_checked += 1
-    stair_cap = min(max_n, 8)
-    stair_checked = 0
-    cons_binomial_misses = 0
-    for pats in (preimage_fertility.CONS_ABA, preimage_fertility.CLASSICAL_ABA):
-        for n in range(1, stair_cap):
-            for k in range(1, stair_cap - n + 1):
-                count = preimage_fertility.staircase_preimage_count(n, k, pats)
-                expected = preimage_fertility.staircase_count_formula(n, k, pats)
-                if count != expected:
-                    return "fertility-staircase", False, {
-                        "n": n, "k": k, "count": count, "expected": expected,
-                    }
-                if pats is preimage_fertility.CONS_ABA:
-                    cons_binomial_misses += count != comb(k + n - 1, k - 1)
-                stair_checked += 1
-    return "fertility-staircase", True, {
-        "fertility_cases": fert_checked,
-        "staircase_cases": stair_checked,
-        "cons_binomial_misses": cons_binomial_misses,
-    }
-
-
-def _verify_sortable_counts(max_n: int) -> tuple[str, bool, dict]:
-    table = multipattern.count_one_stack_sortable(max_n)
-    for n in range(1, max_n + 1):
-        if not table.matches_doubling(n):
-            return "sortable-counts", False, {"n": n, "total": table.totals[n - 1]}
-        if not table.row_matches_shifted_binomial(n):
-            return "sortable-counts", False, {"n": n, "row": list(table.by_distinct[n - 1])}
-        # The table counts exactly the sortable standardized words of
-        # length n, so distinct sortable ones of that number are all of them.
-        built = multipattern.build_one_stack_sortable(n)
-        sound = all(
-            len(q) == n
-            and q == standardize(q)
-            and stack_machine.is_one_stack_sortable(q, multipattern.ABA_AAB_PINNED)
-            for q in built
-        )
-        if not (sound and len(set(built)) == len(built) == table.totals[n - 1]):
-            return "sortable-counts", False, {"n": n, "mismatch": "construction"}
-    survey = multipattern.mode_combination_survey(min(max_n, 7))
-    doubling_modes = sorted(
-        f"{aba}/{aab}"
-        for (aba, aab), counts in survey.items()
-        if all(c == 2 ** i for i, c in enumerate(counts))
-    )
-    return "sortable-counts", True, {
-        "totals": list(table.totals), "doubling_modes": doubling_modes,
-    }
-
-
-def _verify_unsortability() -> tuple[str, bool, dict]:
-    checked = 0
-    for label, pats in UNSORTABLE_SETS:
-        for m in range(2, 7):
-            report = multipattern.unsortable_witness(pats, m)
-            if report.verdict != "never-sorts" or report.witness is None:
-                return "unsortability", False, {"patterns": label, "m": m,
-                                                "verdict": report.verdict}
-            out = stack_machine.phi(report.witness, pats)
-            if standardize(out) != standardize(report.witness):
-                return "unsortability", False, {
-                    "patterns": label, "m": m, "reason": "pass output not equivalent",
-                }
-            res = stack_machine.phi_iterate(report.witness, pats, max_k=3)
-            if res.outcome is not stack_machine.IterationOutcome.NEVER_SORTS:
-                return "unsortability", False, {
-                    "patterns": label, "m": m, "outcome": res.outcome.value,
-                }
-            checked += 1
-    return "unsortability", True, {"witnesses": checked}
-
-
 def cmd_verify(args, emit: Emitter) -> int:
     if not 3 <= args.max_n <= 9:
         raise UsageError("verify supports max_n between 3 and 9")
-    sweep = _sweep(args.max_n)
-    results = [
-        _verify_evaluators(sweep),
-        _verify_image(sweep),
-        _verify_witnesses(sweep),
-        _verify_fertility_staircase(args.max_n),
-        _verify_sortable_counts(args.max_n),
-        _verify_unsortability(),
-    ]
+    results = verify.run(args.max_n)
     failed = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
@@ -520,23 +331,6 @@ def cmd_verify(args, emit: Emitter) -> int:
 
 BRUTE_HARD_CAP = 12
 POLY_LENGTH_CAP = 10_000
-
-
-def _brute_image_info(n: int, targets_cons, targets_aba):
-    """One pass over every standardized length-n sequence, deciding brute
-    membership for the given standardized targets under both maps."""
-    hits_cons = {t: False for t in targets_cons}
-    hits_aba = {t: False for t in targets_aba}
-    enumerated = 0
-    for q in core.enumerate_standardized(n):
-        enumerated += 1
-        oc = standardize(image_membership.phi_cons_via_sandwich(q))
-        if oc in hits_cons:
-            hits_cons[oc] = True
-        oa = standardize(image_membership.phi_aba_via_decomposition(q))
-        if oa in hits_aba:
-            hits_aba[oa] = True
-    return enumerated, hits_cons, hits_aba
 
 
 def cmd_bench(args, emit: Emitter) -> int:
@@ -573,12 +367,14 @@ def cmd_bench(args, emit: Emitter) -> int:
         if args.brute and n <= brute_cap:
             target = standardize(seq)
             t3 = time.perf_counter()
-            enumerated, hits_cons, hits_aba = _brute_image_info(n, {target}, {target})
+            enumerated = 0
+            hit_cons = hit_aba = False
+            for _, out_cons, out_aba in verify.outputs(n):
+                enumerated += 1
+                hit_cons = hit_cons or standardize(out_cons) == target
+                hit_aba = hit_aba or standardize(out_aba) == target
             t4 = time.perf_counter()
-            agree = (
-                hits_cons[target] == res_cons.member
-                and hits_aba[target] == res_aba.member
-            )
+            agree = hit_cons == res_cons.member and hit_aba == res_aba.member
             ok = ok and agree
             emit.line(
                 f"length={n} brute: enumerated={enumerated} "

@@ -130,33 +130,42 @@ def enumerate_multiset_arrangements(
     socks: Mapping[int, int] | Iterable[int],
 ) -> Iterator[SockSeq]:
     """Distinct arrangements of a sock multiset, one standardized
-    representative per equivalence class, no duplicates.
+    representative per equivalence class, in lexicographic order.
 
-    Accepts either a multiplicity mapping or any iterable of socks.
+    Accepts either a multiplicity mapping or any iterable of socks.  The
+    walk grows restricted growth strings, opening socks in order, and
+    extends a prefix only while its per-sock counts, sorted, still fit
+    under the sorted multiplicities; every such prefix completes, so each
+    class comes out once and no branch is wasted.
     """
     counts = Counter(socks) if not isinstance(socks, Mapping) else Counter(dict(socks))
     for sock, c in counts.items():
         if sock < 0 or c < 0:
             raise ValueError("socks and multiplicities must be non-negative")
-    items = sorted(s for s, c in counts.items() if c > 0)
-    n = sum(counts[s] for s in items)
-    seen: set[SockSeq] = set()
+    mults = sorted((c for c in counts.values() if c > 0), reverse=True)
+    n = sum(mults)
+    placed: list[int] = []  # copies placed so far of each opened sock
     buf: list[int] = []
 
     def place() -> Iterator[SockSeq]:
         if len(buf) == n:
-            std = standardize(buf)
-            if std not in seen:
-                seen.add(std)
-                yield std
+            yield tuple(buf)
             return
-        for s in items:
-            if counts[s]:
-                counts[s] -= 1
-                buf.append(s)
+        for v, c in enumerate(placed):
+            # Raising one count c to c + 1 changes the sorted counts at the
+            # rank of the first count equal to c, which must stay in bounds.
+            if c < mults[sum(x > c for x in placed)]:
+                placed[v] += 1
+                buf.append(v)
                 yield from place()
                 buf.pop()
-                counts[s] += 1
+                placed[v] -= 1
+        if len(placed) < len(mults):  # open the next sock
+            buf.append(len(placed))
+            placed.append(1)
+            yield from place()
+            placed.pop()
+            buf.pop()
 
     yield from place()
 

@@ -2,7 +2,7 @@
 
 Preimages are counted up to sock renaming: the search space for a target
 is every standardized sequence with the target's multiplicity profile,
-obtained by deduplicating multiset arrangements.
+generated once each, in lexicographic order, as restricted growth strings.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ def preimages_of(
     if len(t) > max_len:
         raise ValueError(f"target length {len(t)} exceeds the bound {max_len}")
     pats_f = frozenset(pats)
-    found = [
+    found = tuple(
         q for q in enumerate_multiset_arrangements(t) if standardize(phi(q, pats_f)) == t
-    ]
-    return PreimageReport(t, pats_f, tuple(sorted(found)))
+    )
+    return PreimageReport(t, pats_f, found)
 
 
 def staircase_target(n: int, k: int) -> SockSeq:
@@ -60,14 +60,12 @@ def staircase_target(n: int, k: int) -> SockSeq:
     return tuple(range(n)) + (n,) * k
 
 
-def staircase_preimage_count(
-    n: int, k: int, pats: Iterable[Pattern], max_len: int = DEFAULT_MAX_LEN
-) -> int:
+def staircase_preimage_count(n: int, k: int, pats: Iterable[Pattern]) -> int:
     """Preimage count of the staircase target under either aba map."""
     pats_f = frozenset(pats)
     if pats_f not in (CONS_ABA, CLASSICAL_ABA):
         raise ValueError("staircase counts apply to the single-aba maps only")
-    return preimages_of(staircase_target(n, k), pats_f, max_len=max_len).count
+    return preimages_of(staircase_target(n, k), pats_f).count
 
 
 def staircase_count_formula(n: int, k: int, pats: Iterable[Pattern]) -> int:

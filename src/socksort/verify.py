@@ -1,0 +1,196 @@
+"""The derived-value verification suite behind `socksort verify`.
+
+Each check returns a (name, passed, detail) record.  The three per-word
+checks share one brute-force pass over every canonical word up to the
+bound; `outputs` is that pass, and `bench` counts its brute-force hits
+from it too.  Library functions are called through their modules, so a
+test can replace one and see the matching check fail.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+from math import comb
+
+from . import core, image_membership, multipattern, preimage_fertility, stack_machine
+from .core import format_sequence, standardize
+from .patterns import parse_patterns
+
+Result = tuple[str, bool, dict]
+
+# Mixed pattern sets exercised by the unsortability suite: in each, one
+# shape revisits its first sock after an excursion and the other does not.
+UNSORTABLE_LABELS = ("abba,abab", "abca,abac")
+
+
+def outputs(n: int) -> Iterator[tuple[core.SockSeq, core.SockSeq, core.SockSeq]]:
+    """Every canonical length-n word, in lexicographic order, with its
+    one-pass ~aba and aba outputs from the stack machine."""
+    for q in core.enumerate_standardized(n):
+        yield (
+            q,
+            stack_machine.phi(q, preimage_fertility.CONS_ABA),
+            stack_machine.phi(q, preimage_fertility.CLASSICAL_ABA),
+        )
+
+
+def per_word(max_n: int) -> list[Result]:
+    """Evaluator identities, image membership and witness validity, in one
+    pass per length over every canonical word up to max_n."""
+    per_length: list[int] = []
+    bad_evaluator = bad_witness = None
+    mismatches: list[dict] = []
+    members = {"cons-aba": 0, "aba": 0}
+    witnesses = 0
+    for n in range(max_n + 1):
+        rows = list(outputs(n))
+        per_length.append(len(rows))
+        image_cons = {standardize(row[1]) for row in rows}
+        image_aba = {standardize(row[2]) for row in rows}
+        for q, out_cons, out_aba in rows:
+            if bad_evaluator is None and (
+                image_membership.phi_cons_via_sandwich(q) != out_cons
+                or image_membership.phi_aba_via_decomposition(q) != out_aba
+            ):
+                bad_evaluator = q
+            res_cons = image_membership.in_image_cons(q)
+            for name, got, image in (
+                ("cons-aba", res_cons.member, image_cons),
+                ("aba", image_membership.in_image_aba(q).member, image_aba),
+            ):
+                want = q in image
+                if got != want:
+                    if len(mismatches) < 5:
+                        mismatches.append({
+                            "map": name, "sequence": format_sequence(q),
+                            "algorithm": got, "brute": want,
+                        })
+                else:
+                    members[name] += got
+            if res_cons.member and bad_witness is None:
+                out = stack_machine.phi(res_cons.witness, preimage_fertility.CONS_ABA)
+                if standardize(out) == q:
+                    witnesses += 1
+                else:
+                    bad_witness = q
+
+    if any(size != core.count_standardized(n) for n, size in enumerate(per_length)):
+        evaluators = False, {"reason": "enumeration size mismatch", "per_length": per_length}
+    elif bad_evaluator is not None:
+        evaluators = False, {"sequence": format_sequence(bad_evaluator)}
+    else:
+        evaluators = True, {"sequences": sum(per_length), "per_length": per_length}
+    if mismatches:
+        image = False, {"mismatches": mismatches}
+    else:
+        image = True, {
+            "sequences": sum(per_length),
+            "members_cons": members["cons-aba"],
+            "members_aba": members["aba"],
+        }
+    if bad_witness is not None:
+        witness = False, {"sequence": format_sequence(bad_witness)}
+    else:
+        witness = True, {"witnesses": witnesses}
+    return [
+        ("evaluator-identities", *evaluators),
+        ("image-membership", *image),
+        ("witness-validity", *witness),
+    ]
+
+
+def fertility_staircase(max_n: int) -> Result:
+    fert_cap = min(max_n, 7)
+    fert_checked = 0
+    for pats in (preimage_fertility.CONS_ABA, preimage_fertility.CLASSICAL_ABA):
+        for n in range(2, fert_cap + 1):
+            for m in range(1, n):
+                w = preimage_fertility.fertility_witness(m, n, pats)
+                count = preimage_fertility.preimages_of(w, pats).count
+                if count != m:
+                    return "fertility-staircase", False, {
+                        "witness": format_sequence(w), "count": count, "expected": m,
+                    }
+                fert_checked += 1
+    stair_cap = min(max_n, 8)
+    stair_checked = 0
+    cons_binomial_misses = 0
+    for pats in (preimage_fertility.CONS_ABA, preimage_fertility.CLASSICAL_ABA):
+        for n in range(1, stair_cap):
+            for k in range(1, stair_cap - n + 1):
+                count = preimage_fertility.staircase_preimage_count(n, k, pats)
+                expected = preimage_fertility.staircase_count_formula(n, k, pats)
+                if count != expected:
+                    return "fertility-staircase", False, {
+                        "n": n, "k": k, "count": count, "expected": expected,
+                    }
+                if pats is preimage_fertility.CONS_ABA:
+                    cons_binomial_misses += count != comb(k + n - 1, k - 1)
+                stair_checked += 1
+    return "fertility-staircase", True, {
+        "fertility_cases": fert_checked,
+        "staircase_cases": stair_checked,
+        "cons_binomial_misses": cons_binomial_misses,
+    }
+
+
+def sortable_counts(max_n: int) -> Result:
+    table = multipattern.count_one_stack_sortable(max_n)
+    for n in range(1, max_n + 1):
+        if not table.matches_doubling(n):
+            return "sortable-counts", False, {"n": n, "total": table.totals[n - 1]}
+        if not table.row_matches_shifted_binomial(n):
+            return "sortable-counts", False, {"n": n, "row": list(table.by_distinct[n - 1])}
+        # The table counts exactly the sortable standardized words of
+        # length n, so distinct sortable ones of that number are all of them.
+        built = multipattern.build_one_stack_sortable(n)
+        sound = all(
+            len(q) == n
+            and q == standardize(q)
+            and stack_machine.is_one_stack_sortable(q, multipattern.ABA_AAB_PINNED)
+            for q in built
+        )
+        if not (sound and len(set(built)) == len(built) == table.totals[n - 1]):
+            return "sortable-counts", False, {"n": n, "mismatch": "construction"}
+    survey = multipattern.mode_combination_survey(min(max_n, 7))
+    doubling_modes = sorted(
+        f"{aba}/{aab}"
+        for (aba, aab), counts in survey.items()
+        if all(c == 2 ** i for i, c in enumerate(counts))
+    )
+    return "sortable-counts", True, {
+        "totals": list(table.totals), "doubling_modes": doubling_modes,
+    }
+
+
+def unsortability() -> Result:
+    checked = 0
+    for label in UNSORTABLE_LABELS:
+        pats = parse_patterns(label)
+        for m in range(2, 7):
+            report = multipattern.unsortable_witness(pats, m)
+            if report.verdict != "never-sorts" or report.witness is None:
+                return "unsortability", False, {"patterns": label, "m": m,
+                                                "verdict": report.verdict}
+            out = stack_machine.phi(report.witness, pats)
+            if standardize(out) != standardize(report.witness):
+                return "unsortability", False, {
+                    "patterns": label, "m": m, "reason": "pass output not equivalent",
+                }
+            res = stack_machine.phi_iterate(report.witness, pats, max_k=3)
+            if res.outcome is not stack_machine.IterationOutcome.NEVER_SORTS:
+                return "unsortability", False, {
+                    "patterns": label, "m": m, "outcome": res.outcome.value,
+                }
+            checked += 1
+    return "unsortability", True, {"witnesses": checked}
+
+
+def run(max_n: int) -> list[Result]:
+    """All six checks, in report order."""
+    return [
+        *per_word(max_n),
+        fertility_staircase(max_n),
+        sortable_counts(max_n),
+        unsortability(),
+    ]

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from socksort import cli, multipattern
+from socksort import image_membership, multipattern, verify
 from socksort.cli import main
 from socksort.core import enumerate_standardized
 from socksort.stack_machine import is_one_stack_sortable
@@ -221,10 +222,52 @@ def test_verify_sortable_counts_catches_broken_construction(monkeypatch, breakag
         return BROKEN_CONSTRUCTIONS[breakage](built, n) if n == 5 else built
 
     monkeypatch.setattr(multipattern, "build_one_stack_sortable", broken)
-    name, ok, detail = cli._verify_sortable_counts(7)
+    name, ok, detail = verify.sortable_counts(7)
     assert name == "sortable-counts"
     assert not ok
     assert detail == {"n": 5, "mismatch": "construction"}
+
+
+BROKEN_WORD = (0, 0, 1, 1)  # aabb, in the image of both maps
+
+
+def _wrong_output(real):
+    return lambda q: real(q) + (0,) if q == BROKEN_WORD else real(q)
+
+
+def _flipped_verdict(real):
+    def broken(q):
+        res = real(q)
+        return dataclasses.replace(res, member=not res.member) if q == BROKEN_WORD else res
+    return broken
+
+
+def _bad_witness(real):
+    def broken(q):
+        res = real(q)
+        return dataclasses.replace(res, witness=(0,) * len(q)) if q == BROKEN_WORD else res
+    return broken
+
+
+# Each breaks one library function on aabb; only its own check may fail.
+BROKEN_PER_WORD = {
+    "evaluator-identities": ("phi_aba_via_decomposition", _wrong_output, {"sequence": "aabb"}),
+    "image-membership": ("in_image_aba", _flipped_verdict, {"mismatches": [
+        {"map": "aba", "sequence": "aabb", "algorithm": False, "brute": True},
+    ]}),
+    "witness-validity": ("in_image_cons", _bad_witness, {"sequence": "aabb"}),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_PER_WORD))
+def test_verify_per_word_checks_catch_broken_functions(monkeypatch, check):
+    function, breakage, expected = BROKEN_PER_WORD[check]
+    monkeypatch.setattr(image_membership, function,
+                        breakage(getattr(image_membership, function)))
+    results = {name: (ok, detail) for name, ok, detail in verify.per_word(5)}
+    assert list(results) == ["evaluator-identities", "image-membership", "witness-validity"]
+    assert results.pop(check) == (False, expected)
+    assert all(ok for ok, _ in results.values())
 
 
 def test_bench_small(capsys):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -128,6 +129,24 @@ def test_multiset_arrangements_accepts_counter():
     # 100 standardizes to 011, so three classes survive for profile {2, 1}.
     arr = list(enumerate_multiset_arrangements(Counter({0: 2, 1: 1})))
     assert sorted(arr) == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
+
+
+def _partitions(n, largest=None):
+    """Integer partitions of n into parts <= largest, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_multiset_arrangements_are_the_classes_in_lexicographic_order(n):
+    for profile in _partitions(n):
+        multiset = [sock for sock, c in enumerate(profile) for _ in range(c)]
+        expected = sorted(set(standardize(p) for p in permutations(multiset)))
+        assert list(enumerate_multiset_arrangements(multiset)) == expected, profile
 
 
 @given(sock_seqs.filter(lambda p: 0 < len(p) <= 7))
