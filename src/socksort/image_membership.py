@@ -20,9 +20,9 @@ by the final balance.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import SockSeq
 
@@ -187,16 +187,29 @@ def aba_decompose(
 
 
 def phi_aba_via_decomposition(p: Iterable[int]) -> SockSeq:
-    """Evaluate the classical-aba map: sort each x-free segment
-    recursively, then append every copy of x."""
-    seq = tuple(p)
-    if not seq:
-        return ()
-    x, runs, segs = aba_decompose(seq)
+    """Evaluate the classical-aba map in one linear scan.
+
+    A stack that avoids classical aba holds each sock in one contiguous
+    block.  Pushing a sock already inside it therefore pops everything
+    above that sock's block, and any other push is free; the stack is
+    flushed at the end.  This is aba_decompose read left to right: with x
+    at the bottom, the stack above it runs the map on the current x-free
+    segment, and x's return pops exactly that segment's image, so
+    phi(p) = phi(seg_1) + ... + phi(seg_r) + x * sum(runs).
+    """
+    stack: list[int] = []
+    inside: set[int] = set()
     out: list[int] = []
-    for seg in segs:
-        out.extend(phi_aba_via_decomposition(seg))
-    out.extend([x] * sum(runs))
+    for sock in p:
+        if sock in inside:
+            while stack[-1] != sock:
+                top = stack.pop()
+                inside.discard(top)
+                out.append(top)
+        else:
+            inside.add(sock)
+        stack.append(sock)
+    out.extend(reversed(stack))
     return tuple(out)
 
 
@@ -220,25 +233,73 @@ class GammaTrace:
     final_dividers: tuple[int, ...]
 
 
+def _gamma_scan(p: SockSeq, steps: list | None) -> tuple[list[int], int, list[int]]:
+    """The gamma rules of in_image_aba.
+
+    Returns the initial dividers, the final gamma and the final divider
+    layout, and appends one GammaStep per event to steps when it is a list.
+    Initial dividers are placed on the fly: the scan starts a new region
+    whenever the current sock already occurs in the region (with a gap, as
+    runs are maximal), so dividers sit at run starts, never split a run,
+    and are crossed by the run they open.
+    """
+    initial: list[int] = []
+    crossed: list[int] = []  # dividers at positions <= cursor, increasing
+    region: set[int] = set()
+    last: dict[int, int] = {}  # sock -> its last position in an earlier run
+    gamma = 0
+    i, n = 0, len(p)
+    while i < n:
+        sock = p[i]
+        j = i + 1
+        while j < n and p[j] == sock:
+            j += 1
+        if sock in region:
+            initial.append(i)
+            crossed.append(i)
+            region = {sock}
+            gamma -= 1
+            if steps is not None:
+                steps.append(GammaStep("divider", i, gamma))
+        else:
+            region.add(sock)
+        prev = last.get(sock)
+        last[sock] = j - 1
+        block = len(crossed) + 1
+        prev_block = 0 if prev is None else bisect_right(crossed, prev) + 1
+        block_start = crossed[-1] if crossed else 0
+        cap = j - i if i == block_start else j - i - 1
+        k = min(cap, block - prev_block - 1)
+        gamma += k
+        if steps is not None:
+            steps.append(GammaStep("run", j - 1, gamma, run_length=j - i, block=block,
+                                   prev_block=prev_block, score=k))
+        if k > 0:
+            if steps is not None:
+                steps.append(GammaStep("remove", j - 1, gamma, dividers=tuple(crossed[-k:])))
+            del crossed[-k:]
+        elif k == -1:
+            crossed.append(i)
+            if steps is not None:
+                steps.append(GammaStep("insert", i, gamma, dividers=(i,)))
+        i = j
+    return initial, gamma, crossed
+
+
 @dataclass(frozen=True)
 class AbaMembership:
+    """The verdict of in_image_aba.  The divider/gamma trace that explains
+    it is built when .trace is first read, by rerunning the scan with step
+    records; a caller that reads only .member never pays for it."""
+
     member: bool
-    trace: GammaTrace
+    _seq: SockSeq = field(repr=False)
 
-
-def _initial_dividers(p: SockSeq) -> list[int]:
-    """Positions k such that a divider sits just before p[k]: the scan
-    starts a new region whenever the current sock last appeared in the
-    region with a gap.  Dividers never split a run of equal socks."""
-    dividers: list[int] = []
-    last: dict[int, int] = {}
-    for k, sock in enumerate(p):
-        prev = last.get(sock)
-        if prev is not None and prev < k - 1:
-            dividers.append(k)
-            last = {}
-        last[sock] = k
-    return dividers
+    @cached_property
+    def trace(self) -> GammaTrace:
+        steps: list[GammaStep] = []
+        initial, gamma, final = _gamma_scan(self._seq, steps)
+        return GammaTrace(tuple(initial), tuple(steps), gamma, tuple(final))
 
 
 def in_image_aba(p: Iterable[int]) -> AbaMembership:
@@ -255,53 +316,5 @@ def in_image_aba(p: Iterable[int]) -> AbaMembership:
     Membership is final gamma >= 0.
     """
     seq = tuple(p)
-    initial = _initial_dividers(seq)
-    prev_at: list[int | None] = [None] * len(seq)
-    lastpos: dict[int, int] = {}
-    for i, sock in enumerate(seq):
-        prev_at[i] = lastpos.get(sock)
-        lastpos[sock] = i
-    steps: list[GammaStep] = []
-    crossed: list[int] = []  # dividers at positions <= cursor, increasing
-    upcoming = deque(initial)
-    gamma = 0
-    i, n = 0, len(seq)
-    while i < n:
-        j = i
-        while j < n and seq[j] == seq[i]:
-            j += 1
-        run_start, run_len = i, j - i
-        while upcoming and upcoming[0] <= run_start:
-            d = upcoming.popleft()
-            crossed.append(d)
-            gamma -= 1
-            steps.append(GammaStep("divider", d, gamma))
-        block = len(crossed) + 1
-        prev = prev_at[run_start]
-        prev_block = 0 if prev is None else bisect_right(crossed, prev) + 1
-        block_start = crossed[-1] if crossed else 0
-        cap = run_len if run_start == block_start else run_len - 1
-        k = min(cap, block - prev_block - 1)
-        gamma += k
-        steps.append(
-            GammaStep(
-                "run",
-                j - 1,
-                gamma,
-                run_length=run_len,
-                block=block,
-                prev_block=prev_block,
-                score=k,
-            )
-        )
-        if k > 0:
-            removed = tuple(crossed[-k:])
-            del crossed[-k:]
-            steps.append(GammaStep("remove", j - 1, gamma, dividers=removed))
-        elif k == -1:
-            crossed.append(run_start)
-            steps.append(GammaStep("insert", run_start, gamma, dividers=(run_start,)))
-        i = j
-    final = tuple(crossed) + tuple(upcoming)
-    trace = GammaTrace(tuple(initial), tuple(steps), gamma, tuple(sorted(final)))
-    return AbaMembership(gamma >= 0, trace)
+    _, gamma, _ = _gamma_scan(seq, None)
+    return AbaMembership(gamma >= 0, seq)

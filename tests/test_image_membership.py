@@ -60,6 +60,22 @@ def test_phi_aba_via_decomposition_example():
     assert phi_aba_via_decomposition(parse_sequence("abca")) == parse_sequence("cbaa")
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phi_aba_via_decomposition_follows_the_decomposition(n):
+    # The paper's identity: sort each x-free segment on its own, then
+    # append every copy of x.
+    for q in enumerate_standardized(n):
+        x, runs, segs = aba_decompose(q)
+        want = tuple(s for seg in segs for s in phi_aba_via_decomposition(seg))
+        assert phi_aba_via_decomposition(q) == want + (x,) * sum(runs), q
+
+
+def test_phi_aba_via_decomposition_on_deep_nesting():
+    # Each sock opens a new nesting level of the decomposition; evaluating
+    # it by recursion overflows the interpreter stack at this length.
+    assert phi_aba_via_decomposition(range(1500)) == tuple(range(1499, -1, -1))
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_evaluators_match_stack_machine(n):
     for q in enumerate_standardized(n):
@@ -184,6 +200,22 @@ def _check_gamma_bookkeeping(q):
             gamma += st_.score
         assert st_.gamma_after == gamma, (q, st_)
     assert res.trace.final_gamma == gamma
+
+
+long_seqs = st.tuples(st.integers(1, 30), st.integers(0, 500)).flatmap(
+    lambda kn: st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1])
+).map(lambda xs: standardize(tuple(xs)))
+
+
+@given(long_seqs)
+@settings(max_examples=100)
+def test_lazy_trace_agrees_with_verdict(q):
+    res = in_image_aba(q)
+    first = res.trace
+    assert res.member == (first.final_gamma >= 0)
+    assert res.trace == first
+    assert in_image_aba(q).trace == first
+    _check_gamma_bookkeeping(q)
 
 
 def test_gamma_trace_step_bookkeeping():

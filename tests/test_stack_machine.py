@@ -159,17 +159,16 @@ def test_one_pass_sortable_counts_for_cons_map():
 @pytest.mark.parametrize(
     "family",
     [
+        list(range(3000)),  # abc...
         [i % 2 for i in range(3000)],  # abab...
         [0 if i % 2 == 0 else i // 2 + 1 for i in range(3001)],  # a x1 a x2 a ...
         [0] * 3000,  # one run
         random.Random(3000).choices(range(40), k=3000),
     ],
-    ids=["alternating", "axax", "one-run", "random"],
+    ids=["increasing", "alternating", "axax", "one-run", "random"],
 )
 def test_classical_aba_machine_on_long_families(family):
-    # Deep stacks: every push is checked against thousands of socks.  The
-    # increasing family is left out because the decomposition evaluator
-    # recurses once per sock there and overflows at this length.
+    # Deep stacks: every push is checked against thousands of socks.
     assert phi(family, CLASSICAL_ABA) == phi_aba_via_decomposition(family)
 
 
