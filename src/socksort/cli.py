@@ -3,6 +3,8 @@
 Every subcommand accepts --format text|json-lines.  Exit codes: 0 for a
 completed command (membership verdicts of both kinds count as success),
 1 when a verification or agreement check fails, 2 for usage errors.
+Library functions and the commands' own checks raise ValueError for input
+outside their bounds; `main` is the one place that turns it into exit 2.
 """
 
 from __future__ import annotations
@@ -34,24 +36,6 @@ class Emitter:
             print(json.dumps(record, sort_keys=True))
         else:
             print(text)
-
-
-def _parse_seq_arg(text: str) -> core.SockSeq:
-    try:
-        return parse_sequence(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_pats_arg(text: str) -> PatternSet:
-    try:
-        return parse_patterns(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +94,10 @@ def _gamma_rows(trace: image_membership.GammaTrace):
 
 
 def cmd_sort(args, emit: Emitter) -> int:
-    seq = _parse_seq_arg(args.sequence)
-    pats = _parse_pats_arg(args.pattern)
+    seq = parse_sequence(args.sequence)
+    pats = parse_patterns(args.pattern)
     if args.k < 1:
-        raise UsageError("--k must be at least 1")
+        raise ValueError("--k must be at least 1")
     current = seq
     for i in range(1, args.k + 1):
         if args.trace:
@@ -144,9 +128,9 @@ def cmd_sort(args, emit: Emitter) -> int:
 
 
 def cmd_image_check(args, emit: Emitter) -> int:
-    seq = _parse_seq_arg(args.sequence)
+    seq = parse_sequence(args.sequence)
     if args.map == "aba" and args.witness:
-        raise UsageError("--witness applies to the cons-aba map only")
+        raise ValueError("--witness applies to the cons-aba map only")
     if args.map == "cons-aba":
         res = image_membership.in_image_cons(seq)
         if args.trace:
@@ -165,8 +149,8 @@ def cmd_image_check(args, emit: Emitter) -> int:
         emit.line(f"verdict: {verdict}", record="verdict", member=res.member)
         if args.witness:
             witness = None if res.witness is None else format_sequence(res.witness)
-            emit.line(f"witness: {witness or 'none'}", record="witness",
-                      sequence=witness)
+            emit.line(f"witness: {'none' if witness is None else witness}",
+                      record="witness", sequence=witness)
         return 0
     res = image_membership.in_image_aba(seq)
     trace = res.trace
@@ -186,12 +170,8 @@ def cmd_image_check(args, emit: Emitter) -> int:
 
 
 def cmd_preimages(args, emit: Emitter) -> int:
-    seq = _parse_seq_arg(args.sequence)
-    pats = MAPS[args.map]
-    try:
-        report = preimage_fertility.preimages_of(seq, pats, max_len=args.max_len)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    seq = parse_sequence(args.sequence)
+    report = preimage_fertility.preimages_of(seq, MAPS[args.map])
     for q in report.preimages:
         emit.line(f"preimage: {format_sequence(q)}", record="preimage",
                   sequence=format_sequence(q))
@@ -202,10 +182,7 @@ def cmd_preimages(args, emit: Emitter) -> int:
 
 def cmd_fertility(args, emit: Emitter) -> int:
     pats = MAPS[args.map]
-    try:
-        witness = preimage_fertility.fertility_witness(args.m, args.n, pats)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    witness = preimage_fertility.fertility_witness(args.m, args.n, pats)
     if args.n <= preimage_fertility.DEFAULT_MAX_LEN:
         count = preimage_fertility.preimages_of(witness, pats).count
         ok = count == args.m
@@ -224,10 +201,7 @@ def cmd_fertility(args, emit: Emitter) -> int:
 
 def cmd_staircase(args, emit: Emitter) -> int:
     pats = MAPS[args.map]
-    try:
-        count = preimage_fertility.staircase_preimage_count(args.n, args.k, pats)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    count = preimage_fertility.staircase_preimage_count(args.n, args.k, pats)
     expected = preimage_fertility.staircase_count_formula(args.n, args.k, pats)
     ok = count == expected
     target = preimage_fertility.staircase_target(args.n, args.k)
@@ -241,10 +215,7 @@ def cmd_staircase(args, emit: Emitter) -> int:
 
 
 def cmd_count_1ss(args, emit: Emitter) -> int:
-    try:
-        table = multipattern.count_one_stack_sortable(args.n_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    table = multipattern.count_one_stack_sortable(args.n_max)
     all_ok = True
     for n in range(1, table.max_n + 1):
         row = table.by_distinct[n - 1]
@@ -277,11 +248,8 @@ def cmd_count_1ss(args, emit: Emitter) -> int:
 
 
 def cmd_witness(args, emit: Emitter) -> int:
-    pats = _parse_pats_arg(args.patterns)
-    try:
-        report = multipattern.unsortable_witness(pats, args.m, search_len=args.search_len)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pats = parse_patterns(args.patterns)
+    report = multipattern.unsortable_witness(pats, args.m)
     witness = None if report.witness is None else format_sequence(report.witness)
     emit.line(
         f"case: {report.case} witness: {witness or '-'} verdict: {report.verdict}",
@@ -308,8 +276,6 @@ def cmd_witness(args, emit: Emitter) -> int:
 
 
 def cmd_verify(args, emit: Emitter) -> int:
-    if not 3 <= args.max_n <= 9:
-        raise UsageError("verify supports max_n between 3 and 9")
     results = verify.run(args.max_n)
     failed = 0
     for name, ok, detail in results:
@@ -334,16 +300,15 @@ POLY_LENGTH_CAP = 10_000
 
 
 def cmd_bench(args, emit: Emitter) -> int:
-    try:
-        lengths = [int(part) for part in args.lengths.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad lengths {args.lengths!r}") from exc
+    parts = [part.strip() for part in args.lengths.split(",") if part.strip()]
+    if not all(part.lstrip("+-").isdigit() for part in parts):
+        raise ValueError(f"bad lengths {args.lengths!r}")
+    lengths = [int(part) for part in parts]
     if not lengths or any(n < 0 for n in lengths):
-        raise UsageError("lengths must be non-negative integers")
+        raise ValueError("lengths must be non-negative integers")
     if any(n > POLY_LENGTH_CAP for n in lengths):
-        raise UsageError(f"lengths above {POLY_LENGTH_CAP} are out of bounds")
+        raise ValueError(f"lengths above {POLY_LENGTH_CAP} are out of bounds")
     rng = random.Random(args.seed)
-    brute_cap = min(args.brute_cap, BRUTE_HARD_CAP)
     ok = True
     for n in lengths:
         seq = core.random_standardized(n, rng)
@@ -364,7 +329,7 @@ def cmd_bench(args, emit: Emitter) -> int:
             record="poly", length=n, map="aba", member=res_aba.member,
             seconds=t2 - t1,
         )
-        if args.brute and n <= brute_cap:
+        if n <= BRUTE_HARD_CAP:
             target = standardize(seq)
             t3 = time.perf_counter()
             enumerated = 0
@@ -420,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("preimages", cmd_preimages, "enumerate preimages up to renaming")
     p.add_argument("sequence")
     p.add_argument("--map", choices=sorted(MAPS), required=True)
-    p.add_argument("--max-len", type=int, default=preimage_fertility.DEFAULT_MAX_LEN)
 
     p = add("fertility", cmd_fertility, "witness with a prescribed preimage count")
     p.add_argument("--m", type=int, required=True)
@@ -438,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("witness", cmd_witness, "find a sequence no number of passes sorts")
     p.add_argument("--patterns", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--search-len", type=int, default=6)
 
     p = add("verify", cmd_verify, "run the derived-value verification suite")
     p.add_argument("max_n", type=int)
@@ -446,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bench", cmd_bench, "time the membership algorithms")
     p.add_argument("--lengths", default="12,100,1000,10000")
     p.add_argument("--seed", type=int, default=20240801)
-    p.add_argument("--brute", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--brute-cap", type=int, default=BRUTE_HARD_CAP)
 
     return parser
 
@@ -462,7 +423,7 @@ def main(argv=None) -> int:
     emit = Emitter(args.format)
     try:
         return args.func(args, emit)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

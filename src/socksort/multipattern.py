@@ -37,6 +37,7 @@ from .stack_machine import (
 ABA_AAB_PINNED: PatternSet = frozenset({ABA_CLASSICAL, AAB_CLASSICAL})
 
 MAX_COUNT_LENGTH = 12
+WITNESS_SEARCH_LEN = 6  # longest word the uniform-set fallback search tries
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,15 @@ def _returning_pair(shape: SockSeq) -> bool:
     return contains(shape, _ABBA) or contains(shape, _ABCA)
 
 
-def unsortable_witness(
-    pats: Iterable[Pattern], m: int, search_len: int = 6
-) -> WitnessReport:
+def unsortable_witness(pats: Iterable[Pattern], m: int) -> WitnessReport:
     """Find a sequence that repeated sorting passes never sort.
 
     Shapes of the form a..aba..a are rejected up front; the mixed/uniform
     split below only covers sets without them.  Mixed sets (some shapes
     revisit their first sock after an excursion, some do not) admit the
     explicit witness a1 a2 a1 a3 a1 ... a1 am a1, which every pass maps
-    back to itself up to renaming.  Uniform sets fall back to a bounded
-    exhaustive search.
+    back to itself up to renaming.  Uniform sets fall back to an exhaustive
+    search up to length WITNESS_SEARCH_LEN.
     """
     pats_f = frozenset(pats)
     if not pats_f:
@@ -164,7 +163,7 @@ def unsortable_witness(
         case = 2
     else:
         case = 1
-    for n in range(2, search_len + 1):
+    for n in range(2, WITNESS_SEARCH_LEN + 1):
         budget = count_standardized(n) + 1
         for q in enumerate_standardized(n):
             if phi_iterate(q, pats_f, max_k=budget).outcome is IterationOutcome.NEVER_SORTS:

@@ -32,20 +32,16 @@ class PreimageReport:
         return len(self.preimages)
 
 
-def preimages_of(
-    target: Iterable[int],
-    pats: Iterable[Pattern],
-    max_len: int = DEFAULT_MAX_LEN,
-) -> PreimageReport:
+def preimages_of(target: Iterable[int], pats: Iterable[Pattern]) -> PreimageReport:
     """All preimages of target under one phi pass, up to renaming.
 
     Exhaustive over arrangements of the target's sock multiset (one pass
     of the map permutes its input, so nothing else can map there).
-    Length is capped because the search is factorial.
+    Length is capped at DEFAULT_MAX_LEN because the search is factorial.
     """
     t = standardize(target)
-    if len(t) > max_len:
-        raise ValueError(f"target length {len(t)} exceeds the bound {max_len}")
+    if len(t) > DEFAULT_MAX_LEN:
+        raise ValueError(f"target length {len(t)} exceeds the bound {DEFAULT_MAX_LEN}")
     pats_f = frozenset(pats)
     found = tuple(
         q for q in enumerate_multiset_arrangements(t) if standardize(phi(q, pats_f)) == t

@@ -187,7 +187,9 @@ def unsortability() -> Result:
 
 
 def run(max_n: int) -> list[Result]:
-    """All six checks, in report order."""
+    """All six checks, in report order, for max_n from 3 to 9."""
+    if not 3 <= max_n <= 9:
+        raise ValueError("verify supports max_n between 3 and 9")
     return [
         *per_word(max_n),
         fertility_staircase(max_n),

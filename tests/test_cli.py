@@ -4,7 +4,7 @@ import json
 import pytest
 
 from socksort import image_membership, multipattern, verify
-from socksort.cli import main
+from socksort.cli import build_parser, main
 from socksort.core import enumerate_standardized
 from socksort.stack_machine import is_one_stack_sortable
 
@@ -79,6 +79,17 @@ def test_image_check_cons_witness(capsys):
     assert code == 0
     assert "verdict: MEMBER" in out
     assert "witness: bba" in out
+    # The empty word is its own (empty) preimage, not a missing witness.
+    code, out = run(capsys, "image-check", "", "--map", "cons-aba", "--witness")
+    assert code == 0
+    assert out == "verdict: MEMBER\nwitness: \n"
+    code, out = run(capsys, "image-check", "", "--map", "cons-aba", "--witness",
+                    "--format", "json-lines")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"member": True, "record": "verdict"},
+        {"record": "witness", "sequence": ""},
+    ]
 
 
 def test_image_check_cons_without_witness_flag(capsys):
@@ -186,6 +197,10 @@ def test_verify_small(capsys):
 def test_verify_bounds(capsys):
     assert run(capsys, "verify", "12")[0] == 2
     assert run(capsys, "verify", "2")[0] == 2
+    # Library callers get the same bound.
+    for max_n in (2, 10):
+        with pytest.raises(ValueError, match="verify supports max_n between 3 and 9"):
+            verify.run(max_n)
 
 
 def test_verify_json_lines_parse(capsys):
@@ -282,6 +297,21 @@ def test_bench_rejects_huge_lengths(capsys):
     assert run(capsys, "bench", "--lengths", "nope")[0] == 2
 
 
+# Library and command bound violations, each with the one stderr line
+# `main` writes for it.
+USAGE_ERRORS = [
+    ("sort abc --pattern a", "pattern shape needs at least 2 letters"),
+    ("preimages abcdefghijk --map aba", "target length 11 exceeds the bound 10"),
+    ("fertility --m 0 --n 3 --map aba", "need 1 <= m <= n-1"),
+    ("staircase --n 0 --k 1 --map aba", "need n >= 1 and k >= 1"),
+    ("count-1ss --n-max 13", "max_n must be between 1 and 12"),
+    ("witness --patterns aba --m 3",
+     "pattern shape (0, 1, 0) has the excluded a..aba..a form"),
+    ("verify 10", "verify supports max_n between 3 and 9"),
+    ("bench --lengths nope", "bad lengths 'nope'"),
+]
+
+
 def test_usage_errors(capsys):
     assert main(["image-check", "abb"]) == 2  # missing --map
     capsys.readouterr()
@@ -289,3 +319,34 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+    for argv, message in USAGE_ERRORS:
+        assert main(argv.split()) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n", argv
+        assert captured.out == "", argv
+
+
+# Every subcommand's option strings.  A new flag needs an edit here.
+OPTIONS = {
+    "sort": {"--format", "--pattern", "--k", "--trace"},
+    "image-check": {"--format", "--map", "--trace", "--witness"},
+    "preimages": {"--format", "--map"},
+    "fertility": {"--format", "--m", "--n", "--map"},
+    "staircase": {"--format", "--n", "--k", "--map"},
+    "count-1ss": {"--format", "--n-max"},
+    "witness": {"--format", "--patterns", "--m"},
+    "verify": {"--format"},
+    "bench": {"--format", "--lengths", "--seed"},
+}
+
+
+def test_parser_options_are_pinned(capsys):
+    (subparsers,) = build_parser()._subparsers._group_actions
+    found = {
+        name: {opt for action in sub._actions for opt in action.option_strings}
+        - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == OPTIONS
+    assert main(["preimages", "abc", "--map", "aba", "--max-len", "3"]) == 2
+    assert "unrecognized arguments: --max-len 3" in capsys.readouterr().err

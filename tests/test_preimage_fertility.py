@@ -6,6 +6,7 @@ from socksort.core import format_sequence, parse_sequence, standardize
 from socksort.preimage_fertility import (
     CLASSICAL_ABA,
     CONS_ABA,
+    DEFAULT_MAX_LEN,
     fertility_witness,
     preimages_of,
     staircase_count_formula,
@@ -51,11 +52,14 @@ def test_preimages_empty_for_non_members():
 
 
 def test_preimages_length_cap():
+    # The edge of the fixed bound: length 10 is searched, length 11 raises.
+    assert DEFAULT_MAX_LEN == 10
+    edge = (0,) * 9 + (1,)
+    assert names(preimages_of(edge, CONS_ABA)) == ["abbbbbbbbb"]
+    with pytest.raises(ValueError, match="target length 11 exceeds the bound 10"):
+        preimages_of(edge + (1,), CONS_ABA)
     with pytest.raises(ValueError):
         preimages_of(tuple(range(11)), CONS_ABA)
-    # A custom cap loosens or tightens the guard.
-    with pytest.raises(ValueError):
-        preimages_of((0, 1, 2), CONS_ABA, max_len=2)
 
 
 def test_staircase_target_shape():
