@@ -72,6 +72,7 @@ from .stack_machine import (
     phi,
     phi_iterate,
     phi_trace,
+    sweep,
 )
 
 __version__ = "0.1.0"

@@ -93,21 +93,7 @@ def enumerate_standardized(n: int) -> Iterator[SockSeq]:
     """All standardized sequences of length n, in lexicographic order."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    if n == 0:
-        yield ()
-        return
-    prefix = [0]
-
-    def extend(mx: int) -> Iterator[SockSeq]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(mx + 2):
-            prefix.append(v)
-            yield from extend(mx if v <= mx else v)
-            prefix.pop()
-
-    yield from extend(0)
+    yield from _grow(n, None)
 
 
 def count_standardized(n: int) -> int:
@@ -126,48 +112,51 @@ def count_standardized(n: int) -> int:
     return row[-1]
 
 
-def enumerate_multiset_arrangements(
-    socks: Mapping[int, int] | Iterable[int],
-) -> Iterator[SockSeq]:
-    """Distinct arrangements of a sock multiset, one standardized
-    representative per equivalence class, in lexicographic order.
+def _next_socks(word: list[int], mults: list[int] | None) -> range | list[int]:
+    """Socks that may extend a restricted growth string: any opened sock,
+    then the next new one.  Under a multiplicity profile (mults, sorted
+    descending) only while the per-sock counts, sorted, still fit under
+    mults; every such prefix completes, so no branch is wasted."""
+    opened = max(word, default=-1) + 1
+    if mults is None:
+        return range(opened + 1)
+    placed = [word.count(v) for v in range(opened)]
+    # Raising one count c to c + 1 changes the sorted counts at the rank of
+    # the first count equal to c, which must stay in bounds.
+    socks = [v for v, c in enumerate(placed) if c < mults[sum(x > c for x in placed)]]
+    if opened < len(mults):
+        socks.append(opened)
+    return socks
 
-    Accepts either a multiplicity mapping or any iterable of socks.  The
-    walk grows restricted growth strings, opening socks in order, and
-    extends a prefix only while its per-sock counts, sorted, still fit
-    under the sorted multiplicities; every such prefix completes, so each
-    class comes out once and no branch is wasted.
-    """
-    counts = Counter(socks) if not isinstance(socks, Mapping) else Counter(dict(socks))
-    for sock, c in counts.items():
-        if sock < 0 or c < 0:
-            raise ValueError("socks and multiplicities must be non-negative")
-    mults = sorted((c for c in counts.values() if c > 0), reverse=True)
-    n = sum(mults)
-    placed: list[int] = []  # copies placed so far of each opened sock
+
+def _grow(n: int, mults: list[int] | None) -> Iterator[SockSeq]:
+    """The length-n words that _next_socks admits, in lexicographic order."""
     buf: list[int] = []
 
     def place() -> Iterator[SockSeq]:
         if len(buf) == n:
             yield tuple(buf)
             return
-        for v, c in enumerate(placed):
-            # Raising one count c to c + 1 changes the sorted counts at the
-            # rank of the first count equal to c, which must stay in bounds.
-            if c < mults[sum(x > c for x in placed)]:
-                placed[v] += 1
-                buf.append(v)
-                yield from place()
-                buf.pop()
-                placed[v] -= 1
-        if len(placed) < len(mults):  # open the next sock
-            buf.append(len(placed))
-            placed.append(1)
+        for v in _next_socks(buf, mults):
+            buf.append(v)
             yield from place()
-            placed.pop()
             buf.pop()
 
-    yield from place()
+    return place()
+
+
+def enumerate_multiset_arrangements(
+    socks: Mapping[int, int] | Iterable[int],
+) -> Iterator[SockSeq]:
+    """Distinct arrangements of a sock multiset, one standardized
+    representative per equivalence class, in lexicographic order.
+    Accepts either a multiplicity mapping or any iterable of socks."""
+    counts = Counter(socks) if not isinstance(socks, Mapping) else Counter(dict(socks))
+    for sock, c in counts.items():
+        if sock < 0 or c < 0:
+            raise ValueError("socks and multiplicities must be non-negative")
+    mults = sorted((c for c in counts.values() if c > 0), reverse=True)
+    yield from _grow(sum(mults), mults)
 
 
 def random_standardized(n: int, rng: random.Random) -> SockSeq:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .core import SockSeq, count_standardized, enumerate_standardized
+from .core import SockSeq, count_standardized, is_sorted
 from .patterns import (
     AAB_CLASSICAL,
     ABA_CLASSICAL,
@@ -28,11 +28,7 @@ from .patterns import (
     PatternSet,
     contains,
 )
-from .stack_machine import (
-    IterationOutcome,
-    is_one_stack_sortable,
-    phi_iterate,
-)
+from .stack_machine import IterationOutcome, phi_iterate, sweep
 
 ABA_AAB_PINNED: PatternSet = frozenset({ABA_CLASSICAL, AAB_CLASSICAL})
 
@@ -64,7 +60,8 @@ class CountTable:
 def count_one_stack_sortable(
     max_n: int, pats: Iterable[Pattern] = ABA_AAB_PINNED
 ) -> CountTable:
-    """Brute-force count over all standardized sequences up to max_n."""
+    """Brute-force count over all standardized sequences up to max_n; the
+    sweep skips every prefix whose emitted output is already unsorted."""
     if not 1 <= max_n <= MAX_COUNT_LENGTH:
         raise ValueError(f"max_n must be between 1 and {MAX_COUNT_LENGTH}")
     pats_f = frozenset(pats)
@@ -72,8 +69,8 @@ def count_one_stack_sortable(
     rows: list[tuple[int, ...]] = []
     for n in range(1, max_n + 1):
         row = [0] * n
-        for q in enumerate_standardized(n):
-            if is_one_stack_sortable(q, pats_f):
+        for q, out in sweep(n, (pats_f,), lambda _, emitted: not is_sorted(emitted[0])):
+            if is_sorted(out):
                 row[len(set(q)) - 1] += 1
         totals.append(sum(row))
         rows.append(tuple(row))
@@ -138,8 +135,8 @@ def unsortable_witness(pats: Iterable[Pattern], m: int) -> WitnessReport:
     split below only covers sets without them.  Mixed sets (some shapes
     revisit their first sock after an excursion, some do not) admit the
     explicit witness a1 a2 a1 a3 a1 ... a1 am a1, which every pass maps
-    back to itself up to renaming.  Uniform sets fall back to an exhaustive
-    search up to length WITNESS_SEARCH_LEN.
+    back to itself up to renaming.  Uniform sets fall back to iterating
+    each unsorted word up to length WITNESS_SEARCH_LEN from its sweep pass.
     """
     pats_f = frozenset(pats)
     if not pats_f:
@@ -165,7 +162,11 @@ def unsortable_witness(pats: Iterable[Pattern], m: int) -> WitnessReport:
         case = 1
     for n in range(2, WITNESS_SEARCH_LEN + 1):
         budget = count_standardized(n) + 1
-        for q in enumerate_standardized(n):
-            if phi_iterate(q, pats_f, max_k=budget).outcome is IterationOutcome.NEVER_SORTS:
+        for q, out in sweep(n, (pats_f,)):
+            if is_sorted(q):
+                continue
+            # q's orbit after its first pass decides it; budget passes over
+            # at most B(n) classes still reach a sorted word or a repeat.
+            if phi_iterate(out, pats_f, max_k=budget).outcome is IterationOutcome.NEVER_SORTS:
                 return WitnessReport(case, q, "never-sorts")
     return WitnessReport(case, None, "search-exhausted")

@@ -3,17 +3,20 @@
 Preimages are counted up to sock renaming: the search space for a target
 is every standardized sequence with the target's multiplicity profile,
 generated once each, in lexicographic order, as restricted growth strings.
+The search is one stack-machine sweep that prunes every prefix whose
+emitted output, renamed, already departs from the target.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb
 
-from .core import SockSeq, enumerate_multiset_arrangements, standardize
+from .core import SockSeq, standardize
 from .patterns import ABA_CLASSICAL, ABA_CONSECUTIVE, Pattern, PatternSet
-from .stack_machine import phi
+from .stack_machine import sweep
 
 CONS_ABA: PatternSet = frozenset({ABA_CONSECUTIVE})
 CLASSICAL_ABA: PatternSet = frozenset({ABA_CLASSICAL})
@@ -43,8 +46,13 @@ def preimages_of(target: Iterable[int], pats: Iterable[Pattern]) -> PreimageRepo
     if len(t) > DEFAULT_MAX_LEN:
         raise ValueError(f"target length {len(t)} exceeds the bound {DEFAULT_MAX_LEN}")
     pats_f = frozenset(pats)
+
+    def departs(_, emitted: list[list[int]]) -> bool:
+        return standardize(emitted[0]) != t[: len(emitted[0])]
+
     found = tuple(
-        q for q in enumerate_multiset_arrangements(t) if standardize(phi(q, pats_f)) == t
+        q for q, out in sweep(len(t), (pats_f,), departs, Counter(t).values())
+        if standardize(out) == t
     )
     return PreimageReport(t, pats_f, found)
 

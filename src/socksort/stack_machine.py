@@ -10,10 +10,10 @@ at any moment, so the map is a function.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .core import SockSeq, is_sorted, standardize
+from .core import SockSeq, _next_socks, is_sorted, standardize
 from .patterns import Pattern, _prepare, _violates
 
 
@@ -65,6 +65,50 @@ def phi_trace(p: Iterable[int], pats: Iterable[Pattern]) -> SortTrace:
     events: list[TraceEvent] = []
     out = _run(seq, pats_f, events)
     return SortTrace(seq, tuple(events), out)
+
+
+def sweep(
+    n: int, pattern_sets: Sequence[Iterable[Pattern]],
+    prune: Callable[[list[int], list[list[int]]], bool] | None = None,
+    profile: Iterable[int] | None = None,
+) -> Iterator[tuple[SockSeq, ...]]:
+    """Every canonical length-n word, in lexicographic order (only those
+    with the given multiplicity profile, if any), followed by its one-pass
+    output under each pattern set.  The map is online, so words that share a
+    prefix share its stack and emitted output: each sock is pushed once
+    per prefix and its pops are undone on backtrack.  prune(prefix,
+    emitted) sees each shorter prefix and the output emitted so far under
+    each set (lists it must not change); True skips the words extending it."""
+    mults = None if profile is None else sorted((c for c in profile if c), reverse=True)
+    if n < 0 or (mults is not None and sum(mults) != n):
+        raise ValueError("length must be >= 0 and match the profile")
+    machines = [(_prepare(frozenset(pats)), [], []) for pats in pattern_sets]
+    emitted = [out for _, _, out in machines]
+    word: list[int] = []
+
+    def grow() -> Iterator[tuple[SockSeq, ...]]:
+        for v in _next_socks(word, mults):
+            word.append(v)
+            marks = []
+            for prepared, stack, out in machines:
+                marks.append(len(out))
+                while stack and _violates(stack, v, prepared):
+                    out.append(stack.pop())
+                stack.append(v)
+            if len(word) == n:
+                yield tuple(word), *[tuple(out + stack[::-1]) for _, stack, out in machines]
+            elif prune is None or not prune(word, emitted):
+                yield from grow()
+            for mark, (_, stack, out) in zip(marks, machines):
+                stack.pop()
+                while len(out) > mark:
+                    stack.append(out.pop())
+            word.pop()
+
+    if not n:
+        yield ((),) * (len(machines) + 1)
+        return
+    yield from grow()
 
 
 class IterationOutcome(enum.Enum):

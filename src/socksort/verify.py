@@ -23,15 +23,12 @@ Result = tuple[str, bool, dict]
 UNSORTABLE_LABELS = ("abba,abab", "abca,abac")
 
 
-def outputs(n: int) -> Iterator[tuple[core.SockSeq, core.SockSeq, core.SockSeq]]:
+def outputs(n: int) -> Iterator[tuple[core.SockSeq, ...]]:
     """Every canonical length-n word, in lexicographic order, with its
-    one-pass ~aba and aba outputs from the stack machine."""
-    for q in core.enumerate_standardized(n):
-        yield (
-            q,
-            stack_machine.phi(q, preimage_fertility.CONS_ABA),
-            stack_machine.phi(q, preimage_fertility.CLASSICAL_ABA),
-        )
+    one-pass ~aba and aba outputs from one sweep of the stack machine."""
+    return stack_machine.sweep(
+        n, (preimage_fertility.CONS_ABA, preimage_fertility.CLASSICAL_ABA)
+    )
 
 
 def per_word(max_n: int) -> list[Result]:

@@ -2,9 +2,10 @@ from math import comb
 
 import pytest
 
-from socksort.core import enumerate_standardized, standardize
+from socksort.core import enumerate_standardized, is_sorted, parse_sequence, standardize
 from socksort.multipattern import (
     ABA_AAB_PINNED,
+    WitnessReport,
     build_one_stack_sortable,
     count_one_stack_sortable,
     mode_combination_survey,
@@ -54,6 +55,29 @@ class TestCounts:
     def test_length_cap(self):
         with pytest.raises(ValueError):
             count_one_stack_sortable(13)
+
+    def test_top_of_the_bound(self):
+        # MAX_COUNT_LENGTH = 12 is the advertised bound; it must also run.
+        table = count_one_stack_sortable(12)
+        for n in range(1, 13):
+            assert table.matches_doubling(n), n
+            row = table.by_distinct[n - 1]
+            assert row == tuple(comb(n - 1, r - 1) for r in range(1, n + 1)), n
+
+    @pytest.mark.parametrize("aab_mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("aba_mode", list(Mode), ids=lambda m: m.value)
+    def test_pruned_count_matches_a_plain_count(self, aba_mode, aab_mode):
+        pats = {Pattern((0, 1, 0), aba_mode), Pattern((0, 0, 1), aab_mode)}
+        rows = []
+        for n in range(1, 9):
+            row = [0] * n
+            for q in enumerate_standardized(n):
+                if is_sorted(phi(q, pats)):
+                    row[len(set(q)) - 1] += 1
+            rows.append(tuple(row))
+        table = count_one_stack_sortable(8, pats)
+        assert table.by_distinct == tuple(rows)
+        assert table.totals == tuple(sum(row) for row in rows)
 
 
 class TestBuild:
@@ -136,8 +160,25 @@ class TestUnsortableWitness:
             is IterationOutcome.NEVER_SORTS
         )
 
+    @pytest.mark.parametrize(
+        "text,case,witnesses",
+        [
+            ("abba", 1, ("aba", "aba", "aba")),
+            ("abca", 1, ("aba", "aba", "aba")),
+            ("aa", 1, ("abab", "abab", "abab")),
+            # aab is sorted, so it is no witness, though its pass never sorts
+            ("aab", 1, ("aba", "aba", "aba")),
+            ("abba,abab", 2, ("aba", "abaca", "abacada")),
+        ],
+    )
+    def test_reports_are_pinned(self, text, case, witnesses):
+        pats = parse_patterns(text)
+        for m, witness in zip((2, 3, 4), witnesses):
+            report = WitnessReport(case, parse_sequence(witness), "never-sorts")
+            assert unsortable_witness(pats, m) == report, m
+
     def test_sorting_shapes_are_rejected(self):
-        for text in ("aba", "~aba", "aaba", "abaa"):
+        for text in ("aba", "~aba", "aaba", "abaa", "~aba,~aab"):
             with pytest.raises(ValueError):
                 unsortable_witness(parse_patterns(text), 3)
 

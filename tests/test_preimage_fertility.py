@@ -1,8 +1,16 @@
+import random
 from math import comb
 
 import pytest
 
-from socksort.core import format_sequence, parse_sequence, standardize
+from socksort.core import (
+    enumerate_multiset_arrangements,
+    format_sequence,
+    parse_sequence,
+    random_standardized,
+    standardize,
+)
+from socksort.patterns import parse_patterns
 from socksort.preimage_fertility import (
     CLASSICAL_ABA,
     CONS_ABA,
@@ -49,6 +57,24 @@ def test_preimages_are_actual_preimages():
 
 def test_preimages_empty_for_non_members():
     assert preimages_of(parse_sequence("aba"), CONS_ABA).count == 0
+
+
+@pytest.mark.parametrize("text", ["~aba", "aba", "abba,abab"])
+def test_pruned_preimage_search_matches_the_plain_filter(text):
+    # Half the targets are images, so that most have preimages to find.
+    pats = parse_patterns(text)
+    rng = random.Random(20241018)
+    hits = 0
+    for _ in range(300):
+        t = random_standardized(rng.randint(0, 8), rng)
+        if rng.random() < 0.5:
+            t = standardize(phi(t, pats))
+        plain = [
+            q for q in enumerate_multiset_arrangements(t) if standardize(phi(q, pats)) == t
+        ]
+        assert list(preimages_of(t, pats).preimages) == plain, t
+        hits += bool(plain)
+    assert hits >= 100
 
 
 def test_preimages_length_cap():

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from socksort.core import enumerate_standardized, is_sorted, standardize
+from socksort.core import (
+    enumerate_multiset_arrangements,
+    enumerate_standardized,
+    is_sorted,
+    standardize,
+)
 from socksort.image_membership import phi_aba_via_decomposition
 from socksort.patterns import (
     ABA_CLASSICAL,
@@ -20,6 +25,7 @@ from socksort.stack_machine import (
     phi,
     phi_iterate,
     phi_trace,
+    sweep,
 )
 
 CONS_ABA = frozenset({ABA_CONSECUTIVE})
@@ -180,3 +186,81 @@ def test_mixed_set_witness_maps_to_itself_at_length_99(text):
     for i in range(1, 50):
         witness += [i, 0]
     assert standardize(phi(witness, parse_patterns(text))) == tuple(witness)
+
+
+SWEEP_SETS = ("~aba", "aba", "aba,aab", "~aba,~aab", "abba,abab", "abca,abac", "~abc")
+
+
+def _phi_rows(words, sets):
+    return [(q, *(phi(q, pats) for pats in sets)) for q in words]
+
+
+@pytest.mark.parametrize("text", SWEEP_SETS)
+def test_sweep_matches_phi_word_for_word(text):
+    sets = [parse_patterns(text)]
+    for n in range(9):
+        assert list(sweep(n, sets)) == _phi_rows(enumerate_standardized(n), sets), n
+
+
+def test_sweep_runs_several_sets_at_once():
+    sets = [parse_patterns(text) for text in SWEEP_SETS]
+    for n in range(9):
+        assert list(sweep(n, sets)) == _phi_rows(enumerate_standardized(n), sets), n
+
+
+def _partitions(n, largest=None):
+    """Integer partitions of n into parts <= largest, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_sweep_profile_walks_the_multiset_classes_in_order(n):
+    sets = [parse_patterns(text) for text in ("~aba", "aba", "abba,abab")]
+    for profile in _partitions(n):
+        multiset = [sock for sock, c in enumerate(profile) for _ in range(c)]
+        # any order of the multiplicities names the same profile
+        got = list(sweep(n, sets, profile=profile[::-1]))
+        assert got == _phi_rows(enumerate_multiset_arrangements(multiset), sets), profile
+
+
+def test_sweep_prune_skips_subtrees_only():
+    sets = [CLASSICAL_ABA]
+    # Words whose second sock repeats the first: prune every other prefix
+    # of length 2, and the leaves are exactly those words.
+    got = list(sweep(5, sets, prune=lambda word, _: len(word) == 2 and word[1] != 0))
+    want = [row for row in _phi_rows(enumerate_standardized(5), sets) if row[0][1] == 0]
+    assert got == want
+
+
+def _emitted_before_flush(prefix, pats):
+    events = phi_trace(prefix, pats).events
+    last_push = max(i for i, e in enumerate(events) if e.kind == "push")
+    return tuple(e.sock for e in events[:last_push] if e.kind == "pop")
+
+
+def test_sweep_prune_sees_every_prefix_and_its_emitted_output():
+    sets = [CONS_ABA, CLASSICAL_ABA]
+    seen = []
+
+    def record(word, emitted):
+        seen.append((tuple(word), tuple(map(tuple, emitted))))
+        return False
+
+    list(sweep(6, sets, prune=record))
+    prefixes = [q for n in range(1, 6) for q in enumerate_standardized(n)]
+    assert sorted(word for word, _ in seen) == sorted(prefixes)
+    for word, emitted in seen:
+        assert emitted == tuple(_emitted_before_flush(word, pats) for pats in sets), word
+    # In aba the second a pops b under both maps before it is pushed.
+    assert dict(seen)[(0, 1, 0)] == ((1,), (1,))
+
+
+@pytest.mark.parametrize("n,profile", [(-1, None), (3, (2,)), (2, (2, 1))])
+def test_sweep_rejects_bad_lengths(n, profile):
+    with pytest.raises(ValueError):
+        list(sweep(n, [CONS_ABA], profile=profile))
