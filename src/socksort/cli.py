@@ -98,14 +98,16 @@ def cmd_sort(args, emit: Emitter) -> int:
     pats = parse_patterns(args.pattern)
     if args.k < 1:
         raise ValueError("--k must be at least 1")
+    letters = all(s < 26 for s in seq)  # every pass permutes the same socks
     current = seq
     for i in range(1, args.k + 1):
         if args.trace:
             trace = stack_machine.phi_trace(current, pats)
             for ev in trace.events:
                 side = "input" if ev.kind == "push" else "output"
+                sock = core._LETTERS[ev.sock] if letters else ev.sock
                 emit.line(
-                    f"{ev.kind} {format_sequence((ev.sock,))} ({side} {ev.index})",
+                    f"{ev.kind} {sock} ({side} {ev.index})",
                     record="event", kind=ev.kind, sock=ev.sock, index=ev.index,
                     pass_index=i,
                 )

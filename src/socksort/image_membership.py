@@ -7,14 +7,16 @@ neighbours hold the same sock and it holds a different one.  One pass of
 the map first emits the sandwiched socks (removing one never creates a
 new sandwich to its left, so removal order is position order) and then
 the reversal of the sandwich-free remainder.  A sequence p is in the
-image exactly when, splitting p at the last sandwiched position, the
-left part can be injected into adjacent equal pairs of the reversed
-right part under the slot rules checked below.
+image exactly when, splitting p at its last sandwiched position, the
+left part can be placed in order into adjacent equal pairs of the right
+part, taken right to left, one sock per pair: a pair at t rejects a sock
+equal to right[t] or to right[t+2].  One greedy pass decides this and
+builds the witness, so the test is linear.
 
 Classical aba: the image test scans maximal runs against a set of
-dividers.  Dividers are charged when crossed and refunded by long runs
-that sit far from the sock's previous occurrence; membership is decided
-by the final balance.
+dividers, with one bisect per run.  Dividers are charged when crossed
+and refunded by long runs that sit far from the sock's previous
+occurrence; membership is decided by the final balance.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class SandwichDecomposition:
     residual: SockSeq
 
 
-def _sandwich_positions(p: SockSeq) -> list[int]:
-    return [i for i in range(1, len(p) - 1) if p[i - 1] == p[i + 1] != p[i]]
-
-
 def sandwich_decompose(p: Iterable[int]) -> SandwichDecomposition:
     """Repeatedly extract the leftmost sandwiched sock until none remain.
 
@@ -89,67 +87,37 @@ class ConsMembership:
     witness: SockSeq | None  # a preimage under the consecutive-aba map
 
 
-def _pair_assignment(left: SockSeq, right: SockSeq) -> list[int] | None:
-    """Greedily match each sock of left to an adjacent equal pair of right.
-
-    Pairs are consumed right to left, one sock per pair, skipping pairs
-    whose sock equals the sock being placed.  The last pair of a maximal
-    run additionally rejects a sock equal to whatever follows the run
-    (placing it there would get that sock extracted too early).  Returns
-    the pair index chosen for each sock of left, or None.
-    """
-    m = len(right)
-    run_end = [0] * m  # exclusive end of the maximal run containing i
-    i = 0
-    while i < m:
-        j = i
-        while j < m and right[j] == right[i]:
-            j += 1
-        for t in range(i, j):
-            run_end[t] = j
-        i = j
-    picks: list[int] = []
-    t = m - 2
-    for sock in left:
-        while t >= 0:
-            if right[t] == right[t + 1] and right[t] != sock:
-                e = run_end[t]
-                if not (t == e - 2 and e < m and right[e] == sock):
-                    break
-            t -= 1
-        if t < 0:
-            return None
-        picks.append(t)
-        t -= 1
-    return picks
-
-
-def _cons_witness(left: SockSeq, right: SockSeq, picks: list[int]) -> SockSeq:
-    m = len(right)
-    w = list(right[::-1])
-    # Insertion spots in w are m-1-t; work from the largest index down so
-    # earlier inserts do not shift later ones.
-    for sock, t in sorted(zip(left, picks), key=lambda st: st[1]):
-        w.insert(m - 1 - t, sock)
-    return tuple(w)
-
-
 def in_image_cons(p: Iterable[int]) -> ConsMembership:
     """Is p the output of one consecutive-aba pass?  Returns a witness
     preimage when it is.
 
-    Only the minimal split needs checking: moving the split left of the
-    last sandwiched position is impossible, and any assignment that
-    works for a longer sandwich-free tail also works for the longest.
+    Only the minimal split (the last sandwiched position, 0 when there is
+    none) needs checking: moving it left is impossible, and any assignment
+    that works for a longer sandwich-free tail also works for the longest.
+    Each left sock, in order, takes the first pair of the right part,
+    scanning right to left, that accepts it; a pair at t rejects a sock
+    equal to right[t], or to right[t+2], which would be extracted too
+    early.  The witness is the reversed right part with each sock set just
+    before the right[t] of its pair, so one right-to-left pass both
+    assigns and builds it.
     """
     seq = tuple(p)
-    sandwiches = _sandwich_positions(seq)
-    split = sandwiches[-1] if sandwiches else 0
+    split = next((i for i in range(len(seq) - 2, 0, -1)
+                  if seq[i - 1] == seq[i + 1] != seq[i]), 0)
     left, right = seq[:split], seq[split:]
-    picks = _pair_assignment(left, right)
-    if picks is None:
+    m = len(right)
+    witness: list[int] = []
+    k = 0  # socks of left placed so far
+    for t in range(m - 1, -1, -1):
+        if k < split and t + 1 < m and right[t] == right[t + 1]:
+            sock = left[k]
+            if sock != right[t] and (t + 2 == m or right[t + 2] != sock):
+                witness.append(sock)
+                k += 1
+        witness.append(right[t])
+    if k < split:
         return ConsMembership(False, None)
-    return ConsMembership(True, _cons_witness(left, right, picks))
+    return ConsMembership(True, tuple(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +206,17 @@ def _gamma_scan(p: SockSeq, steps: list | None) -> tuple[list[int], int, list[in
 
     Returns the initial dividers, the final gamma and the final divider
     layout, and appends one GammaStep per event to steps when it is a list.
-    Initial dividers are placed on the fly: the scan starts a new region
-    whenever the current sock already occurs in the region (with a gap, as
-    runs are maximal), so dividers sit at run starts, never split a run,
-    and are crossed by the run they open.
+    Initial dividers are placed on the fly: a run whose sock already
+    occurs at or after the last initial divider (with a gap, as runs are
+    maximal) gets a new one at its start, so dividers sit at run starts,
+    never split a run, and are crossed by the run they open.  A run starts
+    its block exactly when it opens the scan or such a divider: the only
+    other dividers, planted by k = -1 runs, sit at earlier run starts.
     """
     initial: list[int] = []
     crossed: list[int] = []  # dividers at positions <= cursor, increasing
-    region: set[int] = set()
     last: dict[int, int] = {}  # sock -> its last position in an earlier run
+    start = 0  # position of the last initial divider
     gamma = 0
     i, n = 0, len(p)
     while i < n:
@@ -254,21 +224,18 @@ def _gamma_scan(p: SockSeq, steps: list | None) -> tuple[list[int], int, list[in
         j = i + 1
         while j < n and p[j] == sock:
             j += 1
-        if sock in region:
+        prev = last.get(sock)
+        if prev is not None and prev >= start:
             initial.append(i)
             crossed.append(i)
-            region = {sock}
+            start = i
             gamma -= 1
             if steps is not None:
                 steps.append(GammaStep("divider", i, gamma))
-        else:
-            region.add(sock)
-        prev = last.get(sock)
         last[sock] = j - 1
         block = len(crossed) + 1
         prev_block = 0 if prev is None else bisect_right(crossed, prev) + 1
-        block_start = crossed[-1] if crossed else 0
-        cap = j - i if i == block_start else j - i - 1
+        cap = j - i if i == start else j - i - 1
         k = min(cap, block - prev_block - 1)
         gamma += k
         if steps is not None:

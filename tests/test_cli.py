@@ -50,6 +50,21 @@ def test_sort_trace_events(capsys):
     assert "pop b (output 0)" in out
 
 
+def test_sort_trace_integer_form_throughout(capsys):
+    # One sock id past z puts every event in integer form, like the output.
+    code, out = run(capsys, "sort", "0,30,0", "--pattern", "aba", "--trace")
+    assert code == 0
+    assert out == (
+        "push 0 (input 0)\n"
+        "push 30 (input 1)\n"
+        "pop 30 (output 0)\n"
+        "push 0 (input 2)\n"
+        "pop 0 (output 1)\n"
+        "pop 0 (output 2)\n"
+        "output: 30,0,0\n"
+    )
+
+
 def test_sort_multiple_passes(capsys):
     code, out = run(capsys, "sort", "abab", "--pattern", "aba", "--k", "3")
     assert code == 0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from socksort.core import (
     enumerate_standardized,
     format_sequence,
     parse_sequence,
+    random_standardized,
     standardize,
 )
 from socksort.image_membership import (
@@ -17,6 +20,7 @@ from socksort.image_membership import (
     sandwich_decompose,
 )
 from socksort.patterns import ABA_CLASSICAL, ABA_CONSECUTIVE
+from socksort.preimage_fertility import preimages_of
 from socksort.stack_machine import phi
 
 CONS_ABA = frozenset({ABA_CONSECUTIVE})
@@ -25,6 +29,10 @@ CLASSICAL_ABA = frozenset({ABA_CLASSICAL})
 raw_seqs = st.lists(st.integers(min_value=0, max_value=5), max_size=12).map(
     lambda xs: standardize(tuple(xs))
 )
+
+long_seqs = st.tuples(st.integers(1, 30), st.integers(0, 500)).flatmap(
+    lambda kn: st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1])
+).map(lambda xs: standardize(tuple(xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +137,31 @@ def test_in_image_cons_fixed_examples(s, member, witness):
     assert got == witness
 
 
+def _check_cons_witness(q):
+    res = in_image_cons(q)
+    if res.member:
+        assert standardize(phi(res.witness, CONS_ABA)) == q, q
+    else:
+        assert res.witness is None
+
+
 def test_in_image_cons_witness_maps_back():
     for n in range(8):
         for q in enumerate_standardized(n):
-            res = in_image_cons(q)
-            if res.member:
-                assert standardize(phi(res.witness, CONS_ABA)) == q, q
-            else:
-                assert res.witness is None
+            _check_cons_witness(q)
+    # k distinct socks, the sandwich x y x, then k+2 fresh pairs: the left
+    # part, up to the y, holds k+1 socks to place into k+2 pairs.
+    k = 10**4
+    pairs = tuple(s for s in range(k + 2, 2 * k + 4) for _ in range(2))
+    q = tuple(range(k)) + (k, k + 1, k) + pairs
+    assert in_image_cons(q).member
+    _check_cons_witness(q)
+
+
+@given(long_seqs)
+@settings(max_examples=100)
+def test_in_image_cons_witness_maps_back_on_long_words(q):
+    _check_cons_witness(q)
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -144,6 +169,26 @@ def test_in_image_cons_matches_brute_force(n):
     image = {standardize(phi(q, CONS_ABA)) for q in enumerate_standardized(n)}
     for q in enumerate_standardized(n):
         assert in_image_cons(q).member == (q in image), q
+
+
+# ---------------------------------------------------------------------------
+# both maps at the preimage-search cap
+
+
+@pytest.mark.parametrize("pats,test", [(CONS_ABA, in_image_cons),
+                                       (CLASSICAL_ABA, in_image_aba)],
+                         ids=["cons", "classical"])
+def test_membership_matches_preimage_search_at_length_10(pats, test):
+    # Random targets are mostly non-members under the classical map, so
+    # half the targets are images of random words.
+    rng = random.Random(10)
+    targets = [random_standardized(10, rng) for _ in range(10)]
+    targets += [standardize(phi(random_standardized(10, rng), pats)) for _ in range(10)]
+    for t in targets:
+        res, report = test(t), preimages_of(t, pats)
+        assert res.member == (report.count > 0), t
+        if pats is CONS_ABA and res.member:
+            assert standardize(res.witness) in report.preimages, t
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +245,6 @@ def _check_gamma_bookkeeping(q):
             gamma += st_.score
         assert st_.gamma_after == gamma, (q, st_)
     assert res.trace.final_gamma == gamma
-
-
-long_seqs = st.tuples(st.integers(1, 30), st.integers(0, 500)).flatmap(
-    lambda kn: st.lists(st.integers(0, kn[0] - 1), min_size=kn[1], max_size=kn[1])
-).map(lambda xs: standardize(tuple(xs)))
 
 
 @given(long_seqs)
