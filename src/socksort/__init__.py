@@ -23,6 +23,7 @@ from .image_membership import (
     GammaTrace,
     SandwichDecomposition,
     aba_decompose,
+    gamma_trace,
     in_image_aba,
     in_image_cons,
     phi_aba_via_decomposition,

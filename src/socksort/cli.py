@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from bisect import insort
 
 from . import core, image_membership, multipattern, preimage_fertility, stack_machine, verify
 from .core import format_sequence, parse_sequence, standardize
@@ -61,32 +62,18 @@ def render_dividers(seq: core.SockSeq, dividers, mark: int | None = None) -> str
 def _gamma_rows(trace: image_membership.GammaTrace):
     """Change-point rows: the start, every divider crossing, and every run
     that scores or has length >= 2; each rendered after its own edits."""
-    layout = sorted(trace.initial_dividers)
-    rows: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, tuple(layout))]
-    pending: tuple[int, int] | None = None
-
-    def flush() -> None:
-        nonlocal pending
-        if pending is not None:
-            rows.append((pending[0], pending[1], tuple(layout)))
-            pending = None
-
+    layout = list(trace.initial_dividers)
+    yield 0, 0, tuple(layout)
     for st in trace.steps:
-        if st.kind == "divider":
-            flush()
-            rows.append((st.position, st.gamma_after, tuple(layout)))
-        elif st.kind == "run":
-            flush()
-            if (st.run_length or 0) >= 2 or st.score != 0:
-                pending = (st.position, st.gamma_after)
-        elif st.kind == "remove":
-            for d in st.dividers:
-                layout.remove(d)
-        elif st.kind == "insert":
-            layout.append(st.dividers[0])
-            layout.sort()
-    flush()
-    return rows
+        if st.kind == "run":
+            if st.score > 0:
+                for d in st.dividers:
+                    layout.remove(d)
+            elif st.score == -1:
+                insort(layout, st.dividers[0])
+            elif st.run_length < 2:
+                continue
+        yield st.position, st.gamma_after, tuple(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +141,8 @@ def cmd_image_check(args, emit: Emitter) -> int:
             emit.line(f"witness: {'none' if witness is None else witness}",
                       record="witness", sequence=witness)
         return 0
-    res = image_membership.in_image_aba(seq)
-    trace = res.trace
+    trace = image_membership.gamma_trace(seq)
+    member = trace.final_gamma >= 0
     rendered = render_dividers(seq, trace.initial_dividers)
     emit.line(f"dividers: {rendered}", record="dividers",
               positions=list(trace.initial_dividers), rendered=rendered)
@@ -165,9 +152,9 @@ def cmd_image_check(args, emit: Emitter) -> int:
             emit.line(f"  {row}  gamma={gamma}", record="gamma-row",
                       position=pos, gamma=gamma, dividers=list(layout),
                       rendered=row)
-    verdict = "MEMBER" if res.member else "NON-MEMBER"
+    verdict = "MEMBER" if member else "NON-MEMBER"
     emit.line(f"verdict: {verdict} (gamma={trace.final_gamma})",
-              record="verdict", member=res.member, gamma=trace.final_gamma)
+              record="verdict", member=member, gamma=trace.final_gamma)
     return 0
 
 
@@ -332,14 +319,13 @@ def cmd_bench(args, emit: Emitter) -> int:
             seconds=t2 - t1,
         )
         if n <= BRUTE_HARD_CAP:
-            target = standardize(seq)
             t3 = time.perf_counter()
             enumerated = 0
             hit_cons = hit_aba = False
             for _, out_cons, out_aba in verify.outputs(n):
                 enumerated += 1
-                hit_cons = hit_cons or standardize(out_cons) == target
-                hit_aba = hit_aba or standardize(out_aba) == target
+                hit_cons = hit_cons or standardize(out_cons) == seq
+                hit_aba = hit_aba or standardize(out_aba) == seq
             t4 = time.perf_counter()
             agree = hit_cons == res_cons.member and hit_aba == res_aba.member
             ok = ok and agree

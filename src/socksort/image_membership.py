@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .core import SockSeq
 
@@ -40,6 +39,7 @@ __all__ = [
     "GammaTrace",
     "AbaMembership",
     "in_image_aba",
+    "gamma_trace",
 ]
 
 
@@ -183,14 +183,16 @@ def phi_aba_via_decomposition(p: Iterable[int]) -> SockSeq:
 
 @dataclass(frozen=True)
 class GammaStep:
-    kind: str  # "divider" | "run" | "remove" | "insert"
+    """A "divider" step crosses an initial divider; a "run" step ends a
+    maximal run, and its dividers are the ones it removed (score > 0) or
+    the one it planted at its start (score == -1)."""
+
+    kind: str  # "divider" | "run"
     position: int
     gamma_after: int
     run_length: int | None = None
-    block: int | None = None
-    prev_block: int | None = None
     score: int | None = None
-    dividers: tuple[int, ...] = field(default=())
+    dividers: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -198,14 +200,13 @@ class GammaTrace:
     initial_dividers: tuple[int, ...]
     steps: tuple[GammaStep, ...]
     final_gamma: int
-    final_dividers: tuple[int, ...]
 
 
-def _gamma_scan(p: SockSeq, steps: list | None) -> tuple[list[int], int, list[int]]:
+def _gamma_scan(p: SockSeq, steps: list | None) -> tuple[list[int], int]:
     """The gamma rules of in_image_aba.
 
-    Returns the initial dividers, the final gamma and the final divider
-    layout, and appends one GammaStep per event to steps when it is a list.
+    Returns the initial dividers and the final gamma, and appends one
+    GammaStep per event to steps when it is a list.
     Initial dividers are placed on the fly: a run whose sock already
     occurs at or after the last initial divider (with a gap, as runs are
     maximal) gets a new one at its start, so dividers sit at run starts,
@@ -239,34 +240,21 @@ def _gamma_scan(p: SockSeq, steps: list | None) -> tuple[list[int], int, list[in
         k = min(cap, block - prev_block - 1)
         gamma += k
         if steps is not None:
-            steps.append(GammaStep("run", j - 1, gamma, run_length=j - i, block=block,
-                                   prev_block=prev_block, score=k))
+            edits = tuple(crossed[-k:]) if k > 0 else (i,) if k == -1 else ()
+            steps.append(GammaStep("run", j - 1, gamma, j - i, k, edits))
         if k > 0:
-            if steps is not None:
-                steps.append(GammaStep("remove", j - 1, gamma, dividers=tuple(crossed[-k:])))
             del crossed[-k:]
         elif k == -1:
             crossed.append(i)
-            if steps is not None:
-                steps.append(GammaStep("insert", i, gamma, dividers=(i,)))
         i = j
-    return initial, gamma, crossed
+    return initial, gamma
 
 
 @dataclass(frozen=True)
 class AbaMembership:
-    """The verdict of in_image_aba.  The divider/gamma trace that explains
-    it is built when .trace is first read, by rerunning the scan with step
-    records; a caller that reads only .member never pays for it."""
+    """The verdict of in_image_aba; gamma_trace(p) explains it."""
 
     member: bool
-    _seq: SockSeq = field(repr=False)
-
-    @cached_property
-    def trace(self) -> GammaTrace:
-        steps: list[GammaStep] = []
-        initial, gamma, final = _gamma_scan(self._seq, steps)
-        return GammaTrace(tuple(initial), tuple(steps), gamma, tuple(final))
 
 
 def in_image_aba(p: Iterable[int]) -> AbaMembership:
@@ -280,8 +268,15 @@ def in_image_aba(p: Iterable[int]) -> AbaMembership:
     run inside its own block (they occupy one merge slot) and l when the
     run starts its block.  k = -1 charges 1 and plants a new divider at
     the run start, already behind the cursor, so it is never crossed.
-    Membership is final gamma >= 0.
+    Membership is final gamma >= 0.  The scan keeps no step records.
     """
-    seq = tuple(p)
-    _, gamma, _ = _gamma_scan(seq, None)
-    return AbaMembership(gamma >= 0, seq)
+    return AbaMembership(_gamma_scan(tuple(p), None)[1] >= 0)
+
+
+def gamma_trace(p: Iterable[int]) -> GammaTrace:
+    """The divider/gamma trace that explains in_image_aba's verdict: the
+    same scan, with one step per divider crossing and per run.  p is in
+    the image exactly when final_gamma >= 0."""
+    steps: list[GammaStep] = []
+    initial, gamma = _gamma_scan(tuple(p), steps)
+    return GammaTrace(tuple(initial), tuple(steps), gamma)

@@ -52,7 +52,8 @@ AAB_CONSECUTIVE = Pattern((0, 0, 1), Mode.CONSECUTIVE)
 
 
 def parse_pattern(text: str) -> Pattern:
-    """Parse 'aba' (classical) or '~aba' (consecutive); digits work too."""
+    """Parse 'aba' (classical) or '~aba' (consecutive).  Integer shapes are
+    comma-separated, as in parse_sequence: '0,1,0', not '010'."""
     text = text.strip()
     mode = Mode.CLASSICAL
     if text.startswith("~"):
@@ -63,10 +64,14 @@ def parse_pattern(text: str) -> Pattern:
 
 
 def parse_patterns(text: str) -> PatternSet:
-    """Comma-separated list of patterns, e.g. '~aba,~aab'."""
-    parts = [part for part in text.split(",") if part.strip()]
+    """Comma-separated list of patterns, e.g. '~aba,~aab'.  The commas
+    separate patterns, so each shape is written in letters."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
         raise ValueError("empty pattern set")
+    for part in parts:
+        if part.removeprefix("~").strip().isdigit():
+            raise ValueError(f"bad pattern {part!r}: pattern lists are written in letters")
     return frozenset(parse_pattern(part) for part in parts)
 
 
@@ -209,5 +214,4 @@ def push_would_violate(
     candidate; occurrences inside the stack alone are not looked at, and
     the stack need not avoid pats.
     """
-    pats_f = pats if isinstance(pats, frozenset) else frozenset(pats)
-    return _violates(list(stack), candidate, _prepare(pats_f))
+    return _violates(list(stack), candidate, _prepare(frozenset(pats)))

@@ -54,16 +54,14 @@ def _run(p: SockSeq, pats: frozenset[Pattern], events: list | None) -> SockSeq:
 
 def phi(p: Iterable[int], pats: Iterable[Pattern]) -> SockSeq:
     """One pass of the sorting map for the given pattern set."""
-    pats_f = pats if isinstance(pats, frozenset) else frozenset(pats)
-    return _run(tuple(p), pats_f, None)
+    return _run(tuple(p), frozenset(pats), None)
 
 
 def phi_trace(p: Iterable[int], pats: Iterable[Pattern]) -> SortTrace:
     """Like phi, but records every push and pop."""
-    pats_f = pats if isinstance(pats, frozenset) else frozenset(pats)
     seq = tuple(p)
     events: list[TraceEvent] = []
-    out = _run(seq, pats_f, events)
+    out = _run(seq, frozenset(pats), events)
     return SortTrace(seq, tuple(events), out)
 
 
@@ -134,7 +132,7 @@ def phi_iterate(
     """
     if max_k < 0:
         raise ValueError("max_k must be >= 0")
-    pats_f = pats if isinstance(pats, frozenset) else frozenset(pats)
+    pats_f = frozenset(pats)
     cur = tuple(p)
     if is_sorted(cur):
         return IterationResult(IterationOutcome.SORTED, 0, cur)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -316,6 +318,7 @@ def test_bench_rejects_huge_lengths(capsys):
 # `main` writes for it.
 USAGE_ERRORS = [
     ("sort abc --pattern a", "pattern shape needs at least 2 letters"),
+    ("sort abc --pattern 0,1,0", "bad pattern '0': pattern lists are written in letters"),
     ("preimages abcdefghijk --map aba", "target length 11 exceeds the bound 10"),
     ("fertility --m 0 --n 3 --map aba", "need 1 <= m <= n-1"),
     ("staircase --n 0 --k 1 --map aba", "need n >= 1 and k >= 1"),
@@ -365,3 +368,31 @@ def test_parser_options_are_pinned(capsys):
     assert found == OPTIONS
     assert main(["preimages", "abc", "--map", "aba", "--max-len", "3"]) == 2
     assert "unrecognized arguments: --max-len 3" in capsys.readouterr().err
+
+
+def _readme_examples():
+    """(argv, expected stdout lines) for each `$ socksort ...` line in
+    README's CLI block that has output under it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("\n$ "):
+        command, *output = chunk.removeprefix("$ ").strip("\n").splitlines()
+        if output:
+            examples.append((shlex.split(command)[1:], output))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_are_found():
+    assert len(README_EXAMPLES) == 7
+
+
+@pytest.mark.parametrize("argv,expected", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples_print_what_readme_shows(capsys, argv, expected):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == expected

@@ -12,7 +12,9 @@ from socksort.core import (
     standardize,
 )
 from socksort.image_membership import (
+    GammaStep,
     aba_decompose,
+    gamma_trace,
     in_image_aba,
     in_image_cons,
     phi_aba_via_decomposition,
@@ -207,16 +209,53 @@ def test_membership_matches_preimage_search_at_length_10(pats, test):
     ],
 )
 def test_in_image_aba_fixed_examples(s, member, gamma, dividers):
-    res = in_image_aba(parse_sequence(s))
-    assert res.member is member
-    assert res.trace.final_gamma == gamma
-    assert res.trace.initial_dividers == dividers
+    q = parse_sequence(s)
+    trace = gamma_trace(q)
+    assert in_image_aba(q).member is member
+    assert trace.final_gamma == gamma
+    assert trace.initial_dividers == dividers
 
 
 def test_in_image_aba_verdict_follows_gamma():
     for q in enumerate_standardized(6):
-        res = in_image_aba(q)
-        assert res.member == (res.trace.final_gamma >= 0)
+        assert in_image_aba(q).member == (gamma_trace(q).final_gamma >= 0)
+
+
+def _div(position, gamma):
+    return GammaStep("divider", position, gamma)
+
+
+def _run(position, gamma, length, score, dividers=()):
+    return GammaStep("run", position, gamma, length, score, dividers)
+
+
+# Every step of three traces: a run's dividers are the ones it removed
+# (score > 0) or the one it planted at its start (score == -1).
+GAMMA_STEPS = {
+    "bcbabccdd": (
+        _run(0, 0, 1, 0), _run(1, 0, 1, 0),
+        _div(2, -1), _run(2, -1, 1, 0), _run(3, -1, 1, 0),
+        _div(4, -2), _run(4, -2, 1, 0),
+        _run(6, -1, 2, 1, (4,)), _run(8, 0, 2, 1, (2,)),
+    ),
+    "bcbcbaabcccdd": (
+        _run(0, 0, 1, 0), _run(1, 0, 1, 0),
+        _div(2, -1), _run(2, -1, 1, 0), _run(3, -1, 1, 0),
+        _div(4, -2), _run(4, -2, 1, 0), _run(6, -1, 2, 1, (4,)),
+        _div(7, -2), _run(7, -2, 1, 0), _run(10, -2, 3, 0),
+        _run(12, -1, 2, 1, (7,)),
+    ),
+    "abaccb": (
+        _run(0, 0, 1, 0), _run(1, 0, 1, 0),
+        _div(2, -1), _run(2, -1, 1, 0),
+        _run(4, 0, 2, 1, (2,)), _run(5, -1, 1, -1, (5,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("s", sorted(GAMMA_STEPS))
+def test_gamma_trace_steps_are_pinned(s):
+    assert gamma_trace(parse_sequence(s)).steps == GAMMA_STEPS[s]
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -234,33 +273,46 @@ def test_in_image_aba_block_start_runs():
 
 
 def _check_gamma_bookkeeping(q):
-    res = in_image_aba(q)
+    trace = gamma_trace(q)
     # Gamma changes by -1 at divider crossings and by the recorded score
-    # on runs; removals and insertions only edit the divider layout.
+    # on runs.  A run's dividers are its edits to the layout: score > 0
+    # removes that many dividers already crossed, -1 plants a new one at
+    # the run start.
     gamma = 0
-    for st_ in res.trace.steps:
+    layout = set(trace.initial_dividers)
+    for st_ in trace.steps:
         if st_.kind == "divider":
             gamma -= 1
-        elif st_.kind == "run":
+            assert st_.position in layout and st_.dividers == (), (q, st_)
+        else:
+            assert st_.kind == "run", (q, st_)
             gamma += st_.score
+            start = st_.position - st_.run_length + 1
+            if st_.score > 0:
+                assert len(st_.dividers) == st_.score, (q, st_)
+                assert set(st_.dividers) <= layout, (q, st_)
+                assert max(st_.dividers) <= start, (q, st_)
+                layout -= set(st_.dividers)
+            elif st_.score == -1:
+                assert st_.dividers == (start,) and start not in layout, (q, st_)
+                layout.add(start)
+            else:
+                assert st_.dividers == (), (q, st_)
         assert st_.gamma_after == gamma, (q, st_)
-    assert res.trace.final_gamma == gamma
+    assert trace.final_gamma == gamma
 
 
 @given(long_seqs)
 @settings(max_examples=100)
 def test_lazy_trace_agrees_with_verdict(q):
-    res = in_image_aba(q)
-    first = res.trace
-    assert res.member == (first.final_gamma >= 0)
-    assert res.trace == first
-    assert in_image_aba(q).trace == first
+    first = gamma_trace(q)
+    assert in_image_aba(q).member == (first.final_gamma >= 0)
+    assert gamma_trace(q) == first
     _check_gamma_bookkeeping(q)
 
 
 def test_gamma_trace_step_bookkeeping():
-    res = in_image_aba(parse_sequence("bcbcbaabcccdd"))
-    assert res.trace.steps, "expected a non-trivial trace"
+    assert gamma_trace(parse_sequence("bcbcbaabcccdd")).steps, "expected a non-trivial trace"
     _check_gamma_bookkeeping(parse_sequence("bcbcbaabcccdd"))
     for q in enumerate_standardized(7):
         _check_gamma_bookkeeping(q)
@@ -269,8 +321,6 @@ def test_gamma_trace_step_bookkeeping():
 @given(raw_seqs)
 @settings(max_examples=60)
 def test_membership_decisions_are_pure(q):
-    a = in_image_aba(q)
-    b = in_image_aba(q)
-    assert a.member == b.member
-    assert a.trace.final_gamma == b.trace.final_gamma
+    assert in_image_aba(q).member == in_image_aba(q).member
+    assert gamma_trace(q).final_gamma == gamma_trace(q).final_gamma
     assert in_image_cons(q).member == in_image_cons(q).member
