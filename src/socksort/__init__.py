@@ -52,7 +52,6 @@ from .patterns import (
     format_pattern,
     parse_pattern,
     parse_patterns,
-    push_would_violate,
 )
 from .preimage_fertility import (
     CLASSICAL_ABA,

@@ -17,7 +17,7 @@ import time
 from bisect import insort
 
 from . import core, image_membership, multipattern, preimage_fertility, stack_machine, verify
-from .core import format_sequence, parse_sequence, standardize
+from .core import format_sequence, parse_sequence
 from .patterns import PatternSet, parse_patterns
 
 MAPS: dict[str, PatternSet] = {
@@ -251,7 +251,7 @@ def cmd_witness(args, emit: Emitter) -> int:
             current = stack_machine.phi(current, pats)
             emit.line(f"pass {i}: {format_sequence(current)}", record="pass",
                       index=i, sequence=format_sequence(current))
-            if standardize(current) == standardize(report.witness):
+            if core.equivalent(current, report.witness):
                 emit.line("cycle: output renames to the input", record="cycle",
                           after=i)
                 break
@@ -324,8 +324,8 @@ def cmd_bench(args, emit: Emitter) -> int:
             hit_cons = hit_aba = False
             for _, out_cons, out_aba in verify.outputs(n):
                 enumerated += 1
-                hit_cons = hit_cons or standardize(out_cons) == seq
-                hit_aba = hit_aba or standardize(out_aba) == seq
+                hit_cons = hit_cons or core.equivalent(out_cons, seq)
+                hit_aba = hit_aba or core.equivalent(out_aba, seq)
             t4 = time.perf_counter()
             agree = hit_cons == res_cons.member and hit_aba == res_aba.member
             ok = ok and agree

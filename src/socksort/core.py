@@ -36,8 +36,17 @@ def is_standardized(p: Iterable[int]) -> bool:
 
 
 def equivalent(p: Iterable[int], q: Iterable[int]) -> bool:
-    """True when p and q differ only by a renaming of socks."""
-    return standardize(p) == standardize(q)
+    """True when p and q differ only by a renaming of socks: one pass that
+    stops where the renaming breaks in either direction."""
+    p, q = tuple(p), tuple(q)
+    if len(p) != len(q):
+        return False
+    fwd: dict[int, int] = {}
+    back: dict[int, int] = {}
+    for a, b in zip(p, q):
+        if fwd.setdefault(a, b) != b or back.setdefault(b, a) != a:
+            return False
+    return True
 
 
 def is_sorted(p: Iterable[int]) -> bool:

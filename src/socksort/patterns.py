@@ -154,16 +154,15 @@ def avoids(p: Iterable[int], pats: Iterable[Pattern]) -> bool:
 Check = Callable[[list[int], int], bool]
 
 # Closed forms for the short shapes the library's maps use: (consecutive,
-# shape) -> check, where s is the stack read bottom to top and c the
-# candidate.  A classical occurrence ending at c picks earlier letters from
-# anywhere in s; a consecutive one is the top len(shape) - 1 socks.  Other
-# shapes fall back to _embeds or to renaming the top window.
+# shape) -> check on a non-empty, shape-avoiding stack s (bottom to top)
+# and a candidate c.  A classical occurrence ending at c picks earlier
+# letters from anywhere in s; a consecutive one is the top len(shape) - 1
+# socks.  Other shapes fall back to _embeds or to renaming the top window.
 _CLOSED_FORMS: dict[tuple[bool, SockSeq], Check] = {
-    # Some other sock occurs twice: more non-c socks than distinct ones.
-    (False, (0, 0, 1)): lambda s, c: len(s) - s.count(c) > len(set(s)) - (c in s),
-    # Every c lies at or after the first one, so a different sock follows
-    # it exactly when those positions hold more than the c's.
-    (False, (0, 1, 0)): lambda s, c: c in s and s.count(c) != len(s) - s.index(c),
+    # Only the top sock can occur twice in an aab-avoiding stack.
+    (False, (0, 0, 1)): lambda s, c: s[-1] != c and s.count(s[-1]) > 1,
+    # Each sock's copies are contiguous in an aba-avoiding stack.
+    (False, (0, 1, 0)): lambda s, c: s[-1] != c and c in s,
     (True, (0, 0, 1)): lambda s, c: len(s) >= 2 and s[-2] == s[-1] != c,
     (True, (0, 1, 0)): lambda s, c: len(s) >= 2 and s[-2] == c != s[-1],
 }
@@ -185,33 +184,25 @@ def _check(pat: Pattern) -> Check:
 
 
 @lru_cache(maxsize=None)
-def _prepare(pats: PatternSet) -> tuple[Check, ...]:
-    """One check per pattern.  check(stack, candidate) is True exactly when
-    some occurrence of the pattern in stack + [candidate] ends at the
-    candidate; the stack is a list read bottom to top and need not avoid
-    the pattern."""
+def _prepare(pats: PatternSet) -> Check:
+    """The push-legality check of a pattern set: violates(stack, candidate)
+    is True exactly when pushing the candidate onto the stack (a list read
+    bottom to top) would complete an occurrence of some pattern in pats.
+
+    The stack must be non-empty and avoid every pattern in pats.  The
+    stack machine keeps this true: each push is checked before it happens,
+    pops only shorten the stack, and sweep's undo restores an earlier
+    state."""
     if not pats:
         raise ValueError("empty pattern set")
-    return tuple(
-        _check(pat) for pat in sorted(pats, key=lambda q: (q.mode.value, q.shape))
-    )
+    checks = [_check(pat) for pat in sorted(pats, key=lambda q: (q.mode.value, q.shape))]
+    if len(checks) == 1:
+        return checks[0]
 
+    def violates(stack: list[int], candidate: int) -> bool:
+        for check in checks:
+            if check(stack, candidate):
+                return True
+        return False
 
-def _violates(stack: list[int], candidate: int, prepared: tuple[Check, ...]) -> bool:
-    for check in prepared:
-        if check(stack, candidate):
-            return True
-    return False
-
-
-def push_would_violate(
-    stack: Sequence[int], candidate: int, pats: Iterable[Pattern]
-) -> bool:
-    """Would pushing candidate complete a pattern occurrence in the stack?
-
-    The stack is read bottom to top with the candidate on top.  The answer
-    is True exactly when some occurrence of a pattern in pats ends at the
-    candidate; occurrences inside the stack alone are not looked at, and
-    the stack need not avoid pats.
-    """
-    return _violates(list(stack), candidate, _prepare(frozenset(pats)))
+    return violates

@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import SockSeq, _next_socks, is_sorted, standardize
-from .patterns import Pattern, _prepare, _violates
+from .patterns import Pattern, _prepare
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,11 @@ class SortTrace:
 
 
 def _run(p: SockSeq, pats: frozenset[Pattern], events: list | None) -> SockSeq:
-    prepared = _prepare(pats)
+    violates = _prepare(pats)
     stack: list[int] = []
     out: list[int] = []
     for i, sock in enumerate(p):
-        while stack and _violates(stack, sock, prepared):
+        while stack and violates(stack, sock):
             top = stack.pop()
             if events is not None:
                 events.append(TraceEvent("pop", top, len(out)))
@@ -88,9 +88,9 @@ def sweep(
         for v in _next_socks(word, mults):
             word.append(v)
             marks = []
-            for prepared, stack, out in machines:
+            for violates, stack, out in machines:
                 marks.append(len(out))
-                while stack and _violates(stack, v, prepared):
+                while stack and violates(stack, v):
                     out.append(stack.pop())
                 stack.append(v)
             if len(word) == n:

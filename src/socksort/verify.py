@@ -66,7 +66,7 @@ def per_word(max_n: int) -> list[Result]:
                     members[name] += got
             if res_cons.member and bad_witness is None:
                 out = stack_machine.phi(res_cons.witness, preimage_fertility.CONS_ABA)
-                if standardize(out) == q:
+                if core.equivalent(out, q):
                     witnesses += 1
                 else:
                     bad_witness = q
@@ -170,7 +170,7 @@ def unsortability() -> Result:
                 return "unsortability", False, {"patterns": label, "m": m,
                                                 "verdict": report.verdict}
             out = stack_machine.phi(report.witness, pats)
-            if standardize(out) != standardize(report.witness):
+            if not core.equivalent(out, report.witness):
                 return "unsortability", False, {
                     "patterns": label, "m": m, "reason": "pass output not equivalent",
                 }

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -57,6 +57,17 @@ def test_equivalent():
     assert equivalent((4, 2, 4), (0, 1, 0))
     assert not equivalent((0, 1, 0), (0, 1, 1))
     assert equivalent((), ())
+    assert not equivalent((0, 1), (0, 1, 2))
+    assert not equivalent((0, 1, 2), (0, 1))
+    # The renaming must be a bijection: merging socks fails in each direction.
+    assert not equivalent((0, 1), (0, 0))
+    assert not equivalent((0, 0), (0, 1))
+
+
+def test_equivalent_agrees_with_standardize_exhaustively():
+    words = [w for n in range(5) for w in product(range(3), repeat=n)]
+    for p, q in product(words, repeat=2):
+        assert equivalent(p, q) == (standardize(p) == standardize(q)), (p, q)
 
 
 @pytest.mark.parametrize(

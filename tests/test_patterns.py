@@ -12,12 +12,13 @@ from socksort.patterns import (
     ABA_CONSECUTIVE,
     Mode,
     Pattern,
+    _embeds,
+    _prepare,
     avoids,
     contains,
     format_pattern,
     parse_pattern,
     parse_patterns,
-    push_would_violate,
 )
 
 small_seqs = st.lists(st.integers(min_value=0, max_value=4), max_size=10).map(tuple)
@@ -133,17 +134,19 @@ class TestContainment:
 
 
 class TestPushGuard:
-    def test_push_would_violate_checks_new_occurrences_only(self):
-        pats = frozenset({ABA_CONSECUTIVE})
+    # _prepare's checks assume what the stack machine maintains: the stack
+    # is non-empty and avoids every pattern of the set.
+
+    def test_guard_checks_new_occurrences_only(self):
+        violates = _prepare(frozenset({ABA_CONSECUTIVE}))
         # Stack reads bottom-to-top; the candidate would sit on top.
-        assert push_would_violate((0, 1), 0, pats)
-        assert not push_would_violate((0, 1), 1, pats)
-        assert not push_would_violate((), 5, pats)
+        assert violates([0, 1], 0)
+        assert not violates([0, 1], 1)
 
     def test_classical_guard_sees_deep_stack(self):
-        pats = frozenset({ABA_CLASSICAL})
-        assert push_would_violate((0, 1, 2), 0, pats)
-        assert not push_would_violate((0, 1, 2), 2, pats)
+        violates = _prepare(frozenset({ABA_CLASSICAL}))
+        assert violates([0, 1, 2], 0)
+        assert not violates([0, 1, 2], 2)
 
     @given(small_seqs, st.integers(min_value=0, max_value=4))
     def test_guard_agrees_with_containment_on_avoiding_stacks(self, stack, sock):
@@ -154,16 +157,16 @@ class TestPushGuard:
             frozenset({ABA_CLASSICAL}),
             frozenset({ABA_CLASSICAL, AAB_CLASSICAL}),
         ):
-            if not avoids(stack, pats):
+            if not stack or not avoids(stack, pats):
                 continue
-            assert push_would_violate(stack, sock, pats) == (
+            assert _prepare(pats)(list(stack), sock) == (
                 not avoids(stack + (sock,), pats)
             )
 
     @given(short_seqs, st.integers(min_value=0, max_value=5))
     def test_classical_backtracker_agrees_with_brute_force(self, seq, sock):
-        # No avoidance precondition: the guard looks only for occurrences
-        # that use the candidate as their last letter.
+        # _embeds itself needs no avoidance: it finds the occurrences that
+        # use the candidate as their last letter in any stack.
         for shape in REFERENCE_SHAPES:
             pat = Pattern(shape, Mode.CLASSICAL)
             assert contains(seq, pat) == brute_occurs(seq, shape)
@@ -171,20 +174,23 @@ class TestPushGuard:
                 standardize(sub + (sock,)) == shape
                 for sub in combinations(seq, len(shape) - 1)
             )
-            assert push_would_violate(seq, sock, {pat}) == ending_at_sock
+            assert _embeds(seq, shape[:-1], {shape[-1]: sock}) == ending_at_sock
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_guard_agrees_with_brute_force_exhaustively(self, mode):
-        # Every standardized stack up to length 6, every candidate up to
+        # Every non-empty standardized stack up to length 6 that avoids the
+        # shape (every state the machine can reach), every candidate up to
         # one past the largest sock, every shape of length 2-4.  This pins
         # the closed-form checks, the pruned backtracker and the window
         # renaming on all of them.
-        stacks = [q for n in range(7) for q in enumerate_standardized(n)]
+        stacks = [q for n in range(1, 7) for q in enumerate_standardized(n)]
         shapes = [q for k in range(2, 5) for q in enumerate_standardized(k)]
         for stack, shape in product(stacks, shapes):
-            pat = frozenset({Pattern(shape, mode)})
+            pat = Pattern(shape, mode)
+            if contains(stack, pat):
+                continue
             k = len(shape)
-            for sock in range(max(stack, default=-1) + 2):
+            for sock in range(max(stack) + 2):
                 if mode is Mode.CLASSICAL:
                     want = any(
                         standardize(sub + (sock,)) == shape
@@ -193,4 +199,5 @@ class TestPushGuard:
                 else:
                     top = stack[len(stack) - k + 1 :]
                     want = len(top) == k - 1 and standardize(top + (sock,)) == shape
-                assert push_would_violate(stack, sock, pat) == want, (stack, sock, shape)
+                got = _prepare(frozenset({pat}))(list(stack), sock)
+                assert got == want, (stack, sock, shape)

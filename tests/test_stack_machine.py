@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -90,16 +91,20 @@ def test_trace_agrees_with_phi(p):
     assert len(tr.events) == 2 * len(p)
 
 
+INVARIANT_SETS = ("~aba", "aba", "aba,aab", "~aba,~aab", "abba,abab", "abca,abac", "aab",
+                  "~aab", "aba,~aab")
+
+
 def test_every_prefix_of_stack_avoids_patterns():
     # Reconstruct stack states from the event log and recheck the
-    # machine's own invariant.
-    for q in enumerate_standardized(6):
-        tr = phi_trace(q, CONS_ABA)
+    # machine's own invariant, which the push-legality checks rely on.
+    words = [q for n in range(8) for q in enumerate_standardized(n)]
+    for pats, q in product(map(parse_patterns, INVARIANT_SETS), words):
         stack: list[int] = []
-        for ev in tr.events:
+        for ev in phi_trace(q, pats).events:
             if ev.kind == "push":
                 stack.append(ev.sock)
-                assert avoids(tuple(stack), CONS_ABA), (q, tuple(stack))
+                assert avoids(tuple(stack), pats), (q, tuple(stack))
             else:
                 assert stack.pop() == ev.sock
 
