@@ -3,7 +3,6 @@
 from .core import (
     SockSeq,
     count_standardized,
-    enumerate_multiset_arrangements,
     enumerate_standardized,
     equivalent,
     format_sequence,

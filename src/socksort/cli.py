@@ -26,6 +26,7 @@ MAPS: dict[str, PatternSet] = {
 }
 
 DIVIDER = "‖"  # double vertical bar
+SEQUENCE_HELP = "letters a-z or comma-separated integers; - reads it from stdin"
 
 
 class Emitter:
@@ -81,7 +82,7 @@ def _gamma_rows(trace: image_membership.GammaTrace):
 
 
 def cmd_sort(args, emit: Emitter) -> int:
-    seq = parse_sequence(args.sequence)
+    seq = parse_sequence(sys.stdin.read() if args.sequence == "-" else args.sequence)
     pats = parse_patterns(args.pattern)
     if args.k < 1:
         raise ValueError("--k must be at least 1")
@@ -117,7 +118,7 @@ def cmd_sort(args, emit: Emitter) -> int:
 
 
 def cmd_image_check(args, emit: Emitter) -> int:
-    seq = parse_sequence(args.sequence)
+    seq = parse_sequence(sys.stdin.read() if args.sequence == "-" else args.sequence)
     if args.map == "aba" and args.witness:
         raise ValueError("--witness applies to the cons-aba map only")
     if args.map == "cons-aba":
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("sort", cmd_sort, "apply one or more sorting passes")
-    p.add_argument("sequence")
+    p.add_argument("sequence", help=SEQUENCE_HELP)
     p.add_argument("--pattern", required=True,
                    help="comma-separated patterns, ~ prefix for consecutive"
                         " (e.g. '~aba,~aab')")
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true")
 
     p = add("image-check", cmd_image_check, "membership in a sorting map image")
-    p.add_argument("sequence")
+    p.add_argument("sequence", help=SEQUENCE_HELP)
     p.add_argument("--map", choices=sorted(MAPS), required=True)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--witness", action="store_true",

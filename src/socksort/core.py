@@ -10,8 +10,7 @@ is sorted when every sock's occurrences sit in one contiguous block.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 
 SockSeq = tuple[int, ...]
 
@@ -102,7 +101,15 @@ def enumerate_standardized(n: int) -> Iterator[SockSeq]:
     """All standardized sequences of length n, in lexicographic order."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    yield from _grow(n, None)
+
+    def place(word: SockSeq, opened: int) -> Iterator[SockSeq]:
+        if len(word) == n:
+            yield word
+        else:  # any opened sock, then the next new one
+            for v in range(opened + 1):
+                yield from place(word + (v,), max(opened, v + 1))
+
+    yield from place((), 0)
 
 
 def count_standardized(n: int) -> int:
@@ -119,53 +126,6 @@ def count_standardized(n: int) -> int:
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[-1]
-
-
-def _next_socks(word: list[int], mults: list[int] | None) -> range | list[int]:
-    """Socks that may extend a restricted growth string: any opened sock,
-    then the next new one.  Under a multiplicity profile (mults, sorted
-    descending) only while the per-sock counts, sorted, still fit under
-    mults; every such prefix completes, so no branch is wasted."""
-    opened = max(word, default=-1) + 1
-    if mults is None:
-        return range(opened + 1)
-    placed = [word.count(v) for v in range(opened)]
-    # Raising one count c to c + 1 changes the sorted counts at the rank of
-    # the first count equal to c, which must stay in bounds.
-    socks = [v for v, c in enumerate(placed) if c < mults[sum(x > c for x in placed)]]
-    if opened < len(mults):
-        socks.append(opened)
-    return socks
-
-
-def _grow(n: int, mults: list[int] | None) -> Iterator[SockSeq]:
-    """The length-n words that _next_socks admits, in lexicographic order."""
-    buf: list[int] = []
-
-    def place() -> Iterator[SockSeq]:
-        if len(buf) == n:
-            yield tuple(buf)
-            return
-        for v in _next_socks(buf, mults):
-            buf.append(v)
-            yield from place()
-            buf.pop()
-
-    return place()
-
-
-def enumerate_multiset_arrangements(
-    socks: Mapping[int, int] | Iterable[int],
-) -> Iterator[SockSeq]:
-    """Distinct arrangements of a sock multiset, one standardized
-    representative per equivalence class, in lexicographic order.
-    Accepts either a multiplicity mapping or any iterable of socks."""
-    counts = Counter(socks) if not isinstance(socks, Mapping) else Counter(dict(socks))
-    for sock, c in counts.items():
-        if sock < 0 or c < 0:
-            raise ValueError("socks and multiplicities must be non-negative")
-    mults = sorted((c for c in counts.values() if c > 0), reverse=True)
-    yield from _grow(sum(mults), mults)
 
 
 def random_standardized(n: int, rng: random.Random) -> SockSeq:

@@ -1,22 +1,20 @@
-"""Preimage enumeration and fertility constructions for the sorting maps.
+"""Preimage listing and fertility constructions for the sorting maps.
 
-Preimages are counted up to sock renaming: the search space for a target
-is every standardized sequence with the target's multiplicity profile,
-generated once each, in lexicographic order, as restricted growth strings.
-The search is one stack-machine sweep that prunes every prefix whose
-emitted output, renamed, already departs from the target.
+Preimages are counted up to sock renaming.  One pass of either aba map
+permutes its input, and its structure theory, read backwards, builds each
+preimage of a target directly: the work follows the preimages found.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations, product
 from math import comb
 
 from .core import SockSeq, standardize
 from .patterns import ABA_CLASSICAL, ABA_CONSECUTIVE, Pattern, PatternSet
-from .stack_machine import sweep
 
 CONS_ABA: PatternSet = frozenset({ABA_CONSECUTIVE})
 CLASSICAL_ABA: PatternSet = frozenset({ABA_CLASSICAL})
@@ -35,26 +33,73 @@ class PreimageReport:
         return len(self.preimages)
 
 
-def preimages_of(target: Iterable[int], pats: Iterable[Pattern]) -> PreimageReport:
-    """All preimages of target under one phi pass, up to renaming.
+def _classical(q: SockSeq) -> list[SockSeq]:
+    """Every p with phi(p) == q under classical aba: the identity
+    phi(x^b0 s_1 x^b1 ... s_r x^br) = phi(s_1) ... phi(s_r) x^m of
+    phi_aba_via_decomposition, read backwards.  x is q's last sock, m its
+    trailing run's length, and x may not occur before that run.  The rest
+    cuts into r <= m parts, each the image of its own x-free segment, set
+    into the x-run at cut points 1 <= c_1 < ... < c_r <= m: C(m, r) ways."""
 
-    Exhaustive over arrangements of the target's sock multiset (one pass
-    of the map permutes its input, so nothing else can map there).
-    Length is capped at DEFAULT_MAX_LEN because the search is factorial.
-    """
-    t = standardize(target)
+    @cache
+    def lister(i: int, j: int) -> list[SockSeq]:  # the preimages of q[i:j]
+        x, k = q[j - 1], j
+        while k > i and q[k - 1] == x:
+            k -= 1
+        m = j - k
+        if x in q[i:k]:
+            return []
+
+        def cuts(a: int, budget: int):  # preimage lists of <= budget parts covering q[a:k]
+            if a == k:
+                yield ()
+            elif budget:
+                for b in range(a + 1, k + 1):
+                    if lister(a, b):
+                        yield from ((lister(a, b), *tail) for tail in cuts(b, budget - 1))
+
+        found = []
+        for parts in cuts(i, m):
+            for points in combinations(range(1, m + 1), len(parts)):
+                for segs in product(*parts):
+                    host = dict(zip(points, segs))
+                    found.append(tuple(v for c in range(1, m + 1) for v in (x, *host.get(c, ()))))
+        return found
+
+    return lister(0, len(q)) if q else [()]
+
+
+def _consecutive(t: SockSeq) -> list[SockSeq]:
+    """Every p with phi(p) == t under consecutive aba.  For each split s at
+    or after t's last sandwiched position, t[:s] goes in order into adjacent
+    equal pairs of right = t[s:], taken right to left, one sock per pair; the
+    pair at j rejects a sock equal to right[j] or right[j+2].  p is right
+    reversed with each sock set just before the right[j] of its pair."""
+    last = next((i for i in range(len(t) - 2, 0, -1) if t[i - 1] == t[i + 1] != t[i]), 0)
+    found = []
+    for s in range(last, len(t) + 1):
+        left, right, m = t[:s], t[s:], len(t) - s
+        pairs = [j for j in range(m - 2, -1, -1) if right[j] == right[j + 1]]
+        for chosen in combinations(pairs, s):
+            if all(sock != right[j] and (j + 2 == m or sock != right[j + 2])
+                   for sock, j in zip(left, chosen)):
+                host = dict(zip(chosen, left))
+                found.append(tuple(v for j in range(m - 1, -1, -1)
+                                   for v in ((host[j], right[j]) if j in host else (right[j],))))
+    return found
+
+
+def preimages_of(target: Iterable[int], pats: Iterable[Pattern]) -> PreimageReport:
+    """All preimages of target under one pass of either aba map, up to
+    renaming.  Length is capped at DEFAULT_MAX_LEN, which bounds the
+    number of preimages listed."""
+    t, pats_f = standardize(target), frozenset(pats)
+    lister = {CLASSICAL_ABA: _classical, CONS_ABA: _consecutive}.get(pats_f)
+    if lister is None:
+        raise ValueError("preimages are listed for the single-aba maps only")
     if len(t) > DEFAULT_MAX_LEN:
         raise ValueError(f"target length {len(t)} exceeds the bound {DEFAULT_MAX_LEN}")
-    pats_f = frozenset(pats)
-
-    def departs(_, emitted: list[list[int]]) -> bool:
-        return standardize(emitted[0]) != t[: len(emitted[0])]
-
-    found = tuple(
-        q for q, out in sweep(len(t), (pats_f,), departs, Counter(t).values())
-        if standardize(out) == t
-    )
-    return PreimageReport(t, pats_f, found)
+    return PreimageReport(t, pats_f, tuple(sorted(standardize(p) for p in lister(t))))
 
 
 def staircase_target(n: int, k: int) -> SockSeq:
@@ -66,10 +111,7 @@ def staircase_target(n: int, k: int) -> SockSeq:
 
 def staircase_preimage_count(n: int, k: int, pats: Iterable[Pattern]) -> int:
     """Preimage count of the staircase target under either aba map."""
-    pats_f = frozenset(pats)
-    if pats_f not in (CONS_ABA, CLASSICAL_ABA):
-        raise ValueError("staircase counts apply to the single-aba maps only")
-    return preimages_of(staircase_target(n, k), pats_f).count
+    return preimages_of(staircase_target(n, k), pats).count
 
 
 def staircase_count_formula(n: int, k: int, pats: Iterable[Pattern]) -> int:

@@ -13,7 +13,7 @@ import enum
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .core import SockSeq, _next_socks, is_sorted, standardize
+from .core import SockSeq, is_sorted, standardize
 from .patterns import Pattern, _prepare
 
 
@@ -68,24 +68,21 @@ def phi_trace(p: Iterable[int], pats: Iterable[Pattern]) -> SortTrace:
 def sweep(
     n: int, pattern_sets: Sequence[Iterable[Pattern]],
     prune: Callable[[list[int], list[list[int]]], bool] | None = None,
-    profile: Iterable[int] | None = None,
 ) -> Iterator[tuple[SockSeq, ...]]:
-    """Every canonical length-n word, in lexicographic order (only those
-    with the given multiplicity profile, if any), followed by its one-pass
-    output under each pattern set.  The map is online, so words that share a
-    prefix share its stack and emitted output: each sock is pushed once
-    per prefix and its pops are undone on backtrack.  prune(prefix,
+    """Every canonical length-n word, in lexicographic order, followed by its
+    one-pass output under each pattern set.  The map is online, so words that
+    share a prefix share its stack and emitted output: each sock is pushed
+    once per prefix and its pops are undone on backtrack.  prune(prefix,
     emitted) sees each shorter prefix and the output emitted so far under
     each set (lists it must not change); True skips the words extending it."""
-    mults = None if profile is None else sorted((c for c in profile if c), reverse=True)
-    if n < 0 or (mults is not None and sum(mults) != n):
-        raise ValueError("length must be >= 0 and match the profile")
+    if n < 0:
+        raise ValueError("length must be >= 0")
     machines = [(_prepare(frozenset(pats)), [], []) for pats in pattern_sets]
     emitted = [out for _, _, out in machines]
     word: list[int] = []
 
     def grow() -> Iterator[tuple[SockSeq, ...]]:
-        for v in _next_socks(word, mults):
+        for v in range(max(word, default=-1) + 2):
             word.append(v)
             marks = []
             for violates, stack, out in machines:

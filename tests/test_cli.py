@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import shlex
 from pathlib import Path
@@ -129,6 +130,19 @@ def test_image_check_json_lines(capsys):
     gammas = [r["gamma"] for r in records if r["record"] == "gamma-row"]
     assert gammas == [0, -1, -2, -1, 0]
     assert records[-1] == {"gamma": 0, "member": True, "record": "verdict"}
+
+
+def test_dash_reads_the_sequence_from_stdin(capsys, monkeypatch):
+    # Linux caps one command-line argument at 128 KiB; this input is larger.
+    socks = range(30000)
+    text = ",".join(map(str, socks)) + "\n"
+    assert len(text) > 128 * 1024
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out = run(capsys, "image-check", "-", "--map", "cons-aba", "--witness")
+    assert code == 0
+    assert out == f"verdict: MEMBER\nwitness: {','.join(map(str, reversed(socks)))}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("aab\n"))
+    assert run(capsys, "sort", "-", "--pattern", "~aba") == (0, "output: baa\n")
 
 
 def test_preimages_lists_and_counts(capsys):

@@ -1,6 +1,5 @@
 import random
-from collections import Counter
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from socksort.core import (
     count_standardized,
-    enumerate_multiset_arrangements,
     enumerate_standardized,
     equivalent,
     format_sequence,
@@ -128,45 +126,6 @@ def test_enumeration_is_lexicographic_and_standardized():
 
 def test_count_standardized_larger():
     assert count_standardized(12) == 4213597
-
-
-def test_multiset_arrangements_dedupe_by_renaming():
-    # aabb and bbaa standardize to the same word, so only one survives.
-    arr = set(enumerate_multiset_arrangements((0, 0, 1, 1)))
-    assert arr == {(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)}
-
-
-def test_multiset_arrangements_accepts_counter():
-    # 100 standardizes to 011, so three classes survive for profile {2, 1}.
-    arr = list(enumerate_multiset_arrangements(Counter({0: 2, 1: 1})))
-    assert sorted(arr) == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
-
-
-def _partitions(n, largest=None):
-    """Integer partitions of n into parts <= largest, largest part first."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-
-
-@pytest.mark.parametrize("n", range(8))
-def test_multiset_arrangements_are_the_classes_in_lexicographic_order(n):
-    for profile in _partitions(n):
-        multiset = [sock for sock, c in enumerate(profile) for _ in range(c)]
-        expected = sorted(set(standardize(p) for p in permutations(multiset)))
-        assert list(enumerate_multiset_arrangements(multiset)) == expected, profile
-
-
-@given(sock_seqs.filter(lambda p: 0 < len(p) <= 7))
-def test_multiset_arrangements_profile(p):
-    target = standardize(p)
-    profile = sorted(Counter(target).values())
-    for q in enumerate_multiset_arrangements(target):
-        assert is_standardized(q)
-        assert sorted(Counter(q).values()) == profile
 
 
 def test_random_standardized_is_standardized():

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socksort import verify
 from socksort.core import (
     enumerate_standardized,
     format_sequence,
@@ -174,21 +176,35 @@ def test_in_image_cons_matches_brute_force(n):
 
 
 # ---------------------------------------------------------------------------
-# both maps at the preimage-search cap
+# both maps at the preimage-listing cap
+
+
+@pytest.fixture(scope="module")
+def preimage_counts_at_length_10():
+    """Brute-force preimage counts of every length-10 image, per map: one
+    stack-machine sweep over all 115,975 canonical words."""
+    counts = {CONS_ABA: Counter(), CLASSICAL_ABA: Counter()}
+    for _, out_cons, out_aba in verify.outputs(10):
+        counts[CONS_ABA][standardize(out_cons)] += 1
+        counts[CLASSICAL_ABA][standardize(out_aba)] += 1
+    return counts
 
 
 @pytest.mark.parametrize("pats,test", [(CONS_ABA, in_image_cons),
                                        (CLASSICAL_ABA, in_image_aba)],
                          ids=["cons", "classical"])
-def test_membership_matches_preimage_search_at_length_10(pats, test):
+def test_membership_matches_preimage_search_at_length_10(pats, test,
+                                                         preimage_counts_at_length_10):
     # Random targets are mostly non-members under the classical map, so
     # half the targets are images of random words.
     rng = random.Random(10)
     targets = [random_standardized(10, rng) for _ in range(10)]
     targets += [standardize(phi(random_standardized(10, rng), pats)) for _ in range(10)]
+    brute = preimage_counts_at_length_10[pats]
     for t in targets:
         res, report = test(t), preimages_of(t, pats)
-        assert res.member == (report.count > 0), t
+        assert res.member == (brute[t] > 0), t
+        assert report.count == brute[t], t
         if pats is CONS_ABA and res.member:
             assert standardize(res.witness) in report.preimages, t
 

@@ -1,13 +1,12 @@
-import random
 from math import comb
 
 import pytest
 
+from socksort import verify
 from socksort.core import (
-    enumerate_multiset_arrangements,
+    enumerate_standardized,
     format_sequence,
     parse_sequence,
-    random_standardized,
     standardize,
 )
 from socksort.patterns import parse_patterns
@@ -59,22 +58,23 @@ def test_preimages_empty_for_non_members():
     assert preimages_of(parse_sequence("aba"), CONS_ABA).count == 0
 
 
-@pytest.mark.parametrize("text", ["~aba", "aba", "abba,abab"])
-def test_pruned_preimage_search_matches_the_plain_filter(text):
-    # Half the targets are images, so that most have preimages to find.
-    pats = parse_patterns(text)
-    rng = random.Random(20241018)
-    hits = 0
-    for _ in range(300):
-        t = random_standardized(rng.randint(0, 8), rng)
-        if rng.random() < 0.5:
-            t = standardize(phi(t, pats))
-        plain = [
-            q for q in enumerate_multiset_arrangements(t) if standardize(phi(q, pats)) == t
-        ]
-        assert list(preimages_of(t, pats).preimages) == plain, t
-        hits += bool(plain)
-    assert hits >= 100
+@pytest.mark.parametrize("index,pats", [(1, CONS_ABA), (2, CLASSICAL_ABA)],
+                         ids=["cons", "classical"])
+def test_preimages_are_the_brute_force_preimages_up_to_length_9(index, pats):
+    # The reference groups every canonical word by its standardized output
+    # from one stack-machine sweep; the sweep walks the words in order, so
+    # each group is already sorted.
+    for n in range(10):
+        want = {}
+        for row in verify.outputs(n):
+            want.setdefault(standardize(row[index]), []).append(row[0])
+        for t in enumerate_standardized(n):
+            assert list(preimages_of(t, pats).preimages) == want.get(t, []), t
+
+
+def test_preimages_reject_other_pattern_sets():
+    with pytest.raises(ValueError, match="single-aba maps only"):
+        preimages_of(parse_sequence("abab"), parse_patterns("abba,abab"))
 
 
 def test_preimages_length_cap():

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from socksort.core import (
-    enumerate_multiset_arrangements,
     enumerate_standardized,
     is_sorted,
     standardize,
@@ -213,26 +212,6 @@ def test_sweep_runs_several_sets_at_once():
         assert list(sweep(n, sets)) == _phi_rows(enumerate_standardized(n), sets), n
 
 
-def _partitions(n, largest=None):
-    """Integer partitions of n into parts <= largest, largest part first."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-
-
-@pytest.mark.parametrize("n", range(8))
-def test_sweep_profile_walks_the_multiset_classes_in_order(n):
-    sets = [parse_patterns(text) for text in ("~aba", "aba", "abba,abab")]
-    for profile in _partitions(n):
-        multiset = [sock for sock, c in enumerate(profile) for _ in range(c)]
-        # any order of the multiplicities names the same profile
-        got = list(sweep(n, sets, profile=profile[::-1]))
-        assert got == _phi_rows(enumerate_multiset_arrangements(multiset), sets), profile
-
-
 def test_sweep_prune_skips_subtrees_only():
     sets = [CLASSICAL_ABA]
     # Words whose second sock repeats the first: prune every other prefix
@@ -265,7 +244,6 @@ def test_sweep_prune_sees_every_prefix_and_its_emitted_output():
     assert dict(seen)[(0, 1, 0)] == ((1,), (1,))
 
 
-@pytest.mark.parametrize("n,profile", [(-1, None), (3, (2,)), (2, (2, 1))])
-def test_sweep_rejects_bad_lengths(n, profile):
+def test_sweep_rejects_bad_lengths():
     with pytest.raises(ValueError):
-        list(sweep(n, [CONS_ABA], profile=profile))
+        list(sweep(-1, [CONS_ABA]))
