@@ -21,7 +21,6 @@ from .image_membership import (
     GammaStep,
     GammaTrace,
     SandwichDecomposition,
-    aba_decompose,
     gamma_trace,
     in_image_aba,
     in_image_cons,

@@ -291,11 +291,9 @@ POLY_LENGTH_CAP = 10_000
 
 def cmd_bench(args, emit: Emitter) -> int:
     parts = [part.strip() for part in args.lengths.split(",") if part.strip()]
-    if not all(part.lstrip("+-").isdigit() for part in parts):
+    if not parts or not all(part.isdecimal() for part in parts):
         raise ValueError(f"bad lengths {args.lengths!r}")
     lengths = [int(part) for part in parts]
-    if not lengths or any(n < 0 for n in lengths):
-        raise ValueError("lengths must be non-negative integers")
     if any(n > POLY_LENGTH_CAP for n in lengths):
         raise ValueError(f"lengths above {POLY_LENGTH_CAP} are out of bounds")
     rng = random.Random(args.seed)

@@ -150,9 +150,9 @@ def parse_sequence(text: str) -> SockSeq:
     text = text.strip()
     if text == "":
         return ()
-    if "," in text or text.isdigit():
+    if "," in text or text.isdecimal():
         parts = [part.strip() for part in text.split(",")]
-        if any(not part.isdigit() for part in parts):
+        if any(not part.isdecimal() for part in parts):
             raise ValueError(f"bad sock sequence {text!r}: expected non-negative integers")
         return tuple(int(part) for part in parts)
     if not all("a" <= ch <= "z" for ch in text):

@@ -9,9 +9,9 @@ new sandwich to its left, so removal order is position order) and then
 the reversal of the sandwich-free remainder.  A sequence p is in the
 image exactly when, splitting p at its last sandwiched position, the
 left part can be placed in order into adjacent equal pairs of the right
-part, taken right to left, one sock per pair: a pair at t rejects a sock
-equal to right[t] or to right[t+2].  One greedy pass decides this and
-builds the witness, so the test is linear.
+part, taken right to left, one sock per pair, each pair taking the socks
+that _takes allows.  One greedy pass decides this and builds the witness,
+so the test is linear.
 
 Classical aba: the image test scans maximal runs against a set of
 dividers, with one bisect per run.  Dividers are charged when crossed
@@ -31,7 +31,6 @@ __all__ = [
     "SandwichDecomposition",
     "sandwich_decompose",
     "phi_cons_via_sandwich",
-    "aba_decompose",
     "phi_aba_via_decomposition",
     "ConsMembership",
     "in_image_cons",
@@ -87,34 +86,41 @@ class ConsMembership:
     witness: SockSeq | None  # a preimage under the consecutive-aba map
 
 
+def _last_sandwich(t: SockSeq) -> int:
+    """The last sandwiched position of t, 0 when there is none."""
+    return next((i for i in range(len(t) - 2, 0, -1) if t[i - 1] == t[i + 1] != t[i]), 0)
+
+
+def _takes(right: SockSeq, j: int, sock: int) -> bool:
+    """The pair rule: the adjacent equal pair at j of a split's right part
+    takes sock unless sock equals right[j], and would not be sandwiched, or
+    right[j+2], and would sandwich right[j+1], extracting it too early."""
+    return sock != right[j] and (j + 2 == len(right) or sock != right[j + 2])
+
+
 def in_image_cons(p: Iterable[int]) -> ConsMembership:
     """Is p the output of one consecutive-aba pass?  Returns a witness
     preimage when it is.
 
-    Only the minimal split (the last sandwiched position, 0 when there is
-    none) needs checking: moving it left is impossible, and any assignment
-    that works for a longer sandwich-free tail also works for the longest.
-    Each left sock, in order, takes the first pair of the right part,
-    scanning right to left, that accepts it; a pair at t rejects a sock
-    equal to right[t], or to right[t+2], which would be extracted too
-    early.  The witness is the reversed right part with each sock set just
-    before the right[t] of its pair, so one right-to-left pass both
-    assigns and builds it.
+    Only the minimal split (_last_sandwich) needs checking: moving it left
+    is impossible, and any assignment that works for a longer
+    sandwich-free tail also works for the longest.  Each left sock, in
+    order, takes the first pair of the right part, scanning right to left,
+    that _takes it.  The witness is the reversed right part with each sock
+    set just before the right[j] of its pair, so one right-to-left pass
+    both assigns and builds it.
     """
     seq = tuple(p)
-    split = next((i for i in range(len(seq) - 2, 0, -1)
-                  if seq[i - 1] == seq[i + 1] != seq[i]), 0)
+    split = _last_sandwich(seq)
     left, right = seq[:split], seq[split:]
     m = len(right)
     witness: list[int] = []
     k = 0  # socks of left placed so far
-    for t in range(m - 1, -1, -1):
-        if k < split and t + 1 < m and right[t] == right[t + 1]:
-            sock = left[k]
-            if sock != right[t] and (t + 2 == m or right[t + 2] != sock):
-                witness.append(sock)
-                k += 1
-        witness.append(right[t])
+    for j in range(m - 1, -1, -1):
+        if k < split and j + 1 < m and right[j] == right[j + 1] and _takes(right, j, left[k]):
+            witness.append(left[k])
+            k += 1
+        witness.append(right[j])
     if k < split:
         return ConsMembership(False, None)
     return ConsMembership(True, tuple(witness))
@@ -124,46 +130,16 @@ def in_image_cons(p: Iterable[int]) -> ConsMembership:
 # classical aba
 
 
-def aba_decompose(
-    p: Iterable[int],
-) -> tuple[int, tuple[int, ...], tuple[SockSeq, ...]]:
-    """Split p around its first sock x: alternating x-runs and non-empty
-    x-free segments.  Always returns one more run than segments; the last
-    run may be empty."""
-    seq = tuple(p)
-    if not seq:
-        raise ValueError("empty sequence")
-    x = seq[0]
-    runs: list[int] = []
-    segs: list[SockSeq] = []
-    i, n = 0, len(seq)
-    while i < n:
-        j = i
-        while j < n and seq[j] == x:
-            j += 1
-        runs.append(j - i)
-        i = j
-        j = i
-        while j < n and seq[j] != x:
-            j += 1
-        if j > i:
-            segs.append(seq[i:j])
-        i = j
-    if len(runs) == len(segs):
-        runs.append(0)
-    return x, tuple(runs), tuple(segs)
-
-
 def phi_aba_via_decomposition(p: Iterable[int]) -> SockSeq:
     """Evaluate the classical-aba map in one linear scan.
 
     A stack that avoids classical aba holds each sock in one contiguous
     block.  Pushing a sock already inside it therefore pops everything
     above that sock's block, and any other push is free; the stack is
-    flushed at the end.  This is aba_decompose read left to right: with x
-    at the bottom, the stack above it runs the map on the current x-free
-    segment, and x's return pops exactly that segment's image, so
-    phi(p) = phi(seg_1) + ... + phi(seg_r) + x * sum(runs).
+    flushed at the end.  This is the decomposition p = x^b0 s_1 ... s_r x^br
+    around the first sock x, read left to right: with x at the bottom, the
+    stack above it runs the map on the current x-free segment s_i, and x's
+    return pops exactly its image, so phi(p) = phi(s_1) ... phi(s_r) x^(b0+...+br).
     """
     stack: list[int] = []
     inside: set[int] = set()

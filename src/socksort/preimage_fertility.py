@@ -14,6 +14,7 @@ from itertools import combinations, product
 from math import comb
 
 from .core import SockSeq, standardize
+from .image_membership import _last_sandwich, _takes
 from .patterns import ABA_CLASSICAL, ABA_CONSECUTIVE, Pattern, PatternSet
 
 CONS_ABA: PatternSet = frozenset({ABA_CONSECUTIVE})
@@ -71,18 +72,16 @@ def _classical(q: SockSeq) -> list[SockSeq]:
 
 def _consecutive(t: SockSeq) -> list[SockSeq]:
     """Every p with phi(p) == t under consecutive aba.  For each split s at
-    or after t's last sandwiched position, t[:s] goes in order into adjacent
-    equal pairs of right = t[s:], taken right to left, one sock per pair; the
-    pair at j rejects a sock equal to right[j] or right[j+2].  p is right
-    reversed with each sock set just before the right[j] of its pair."""
-    last = next((i for i in range(len(t) - 2, 0, -1) if t[i - 1] == t[i + 1] != t[i]), 0)
+    or after _last_sandwich(t), t[:s] goes in order into adjacent equal
+    pairs of right = t[s:], taken right to left, one sock per pair, each
+    pair taking its sock by the pair rule _takes.  p is right reversed with
+    each sock set just before the right[j] of its pair."""
     found = []
-    for s in range(last, len(t) + 1):
+    for s in range(_last_sandwich(t), len(t) + 1):
         left, right, m = t[:s], t[s:], len(t) - s
         pairs = [j for j in range(m - 2, -1, -1) if right[j] == right[j + 1]]
         for chosen in combinations(pairs, s):
-            if all(sock != right[j] and (j + 2 == m or sock != right[j + 2])
-                   for sock, j in zip(left, chosen)):
+            if all(_takes(right, j, sock) for sock, j in zip(left, chosen)):
                 host = dict(zip(chosen, left))
                 found.append(tuple(v for j in range(m - 1, -1, -1)
                                    for v in ((host[j], right[j]) if j in host else (right[j],))))
@@ -111,6 +110,8 @@ def staircase_target(n: int, k: int) -> SockSeq:
 
 def staircase_preimage_count(n: int, k: int, pats: Iterable[Pattern]) -> int:
     """Preimage count of the staircase target under either aba map."""
+    if n >= 1 and k >= 1 and n + k > DEFAULT_MAX_LEN:  # before building the target
+        raise ValueError(f"target length {n + k} exceeds the bound {DEFAULT_MAX_LEN}")
     return preimages_of(staircase_target(n, k), pats).count
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from socksort import image_membership, multipattern, verify
+from socksort import image_membership, multipattern, preimage_fertility, verify
 from socksort.cli import build_parser, main
 from socksort.core import enumerate_standardized
 from socksort.stack_machine import is_one_stack_sortable
@@ -185,6 +185,19 @@ def test_staircase_cons_matches_partial_sum(capsys):
     assert "match=yes" in out
 
 
+def test_staircase_checks_the_bound_before_building_the_target(capsys, monkeypatch):
+    build = preimage_fertility.staircase_target
+
+    def bounded(n, k):
+        if n + k > 10:
+            pytest.fail(f"built a staircase target of length {n + k}")
+        return build(n, k)
+
+    monkeypatch.setattr(preimage_fertility, "staircase_target", bounded)
+    assert main(["staircase", "--n", "1000000000", "--k", "1", "--map", "aba"]) == 2
+    assert capsys.readouterr().err == "error: target length 1000000001 exceeds the bound 10\n"
+
+
 def test_count_1ss(capsys):
     code, out = run(capsys, "count-1ss", "--n-max", "5")
     assert code == 0
@@ -341,6 +354,9 @@ USAGE_ERRORS = [
      "pattern shape (0, 1, 0) has the excluded a..aba..a form"),
     ("verify 10", "verify supports max_n between 3 and 9"),
     ("bench --lengths nope", "bad lengths 'nope'"),
+    ("bench --lengths=+-5", "bad lengths '+-5'"),
+    ("sort 1,² --pattern aba",
+     "bad sock sequence '1,²': expected non-negative integers"),
 ]
 
 

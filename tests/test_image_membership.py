@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from socksort.core import (
 )
 from socksort.image_membership import (
     GammaStep,
-    aba_decompose,
     gamma_trace,
     in_image_aba,
     in_image_cons,
@@ -61,25 +61,19 @@ def test_phi_cons_via_sandwich_examples():
     assert phi_cons_via_sandwich(()) == ()
 
 
-def test_aba_decompose_example():
-    x, runs, segs = aba_decompose(parse_sequence("abacbc"))
-    assert x == 0
-    assert runs == (1, 1, 0)
-    assert segs == ((1,), (2, 1, 2))
-
-
 def test_phi_aba_via_decomposition_example():
     assert phi_aba_via_decomposition(parse_sequence("abca")) == parse_sequence("cbaa")
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_phi_aba_via_decomposition_follows_the_decomposition(n):
-    # The paper's identity: sort each x-free segment on its own, then
-    # append every copy of x.
+    # The paper's identity: cut q around x = q[0] into x-runs and x-free
+    # segments, sort each segment on its own, then append every copy of x.
     for q in enumerate_standardized(n):
-        x, runs, segs = aba_decompose(q)
+        x = q[0]
+        segs = [tuple(g) for is_x, g in groupby(q, key=lambda s: s == x) if not is_x]
         want = tuple(s for seg in segs for s in phi_aba_via_decomposition(seg))
-        assert phi_aba_via_decomposition(q) == want + (x,) * sum(runs), q
+        assert phi_aba_via_decomposition(q) == want + (x,) * q.count(x), q
 
 
 def test_phi_aba_via_decomposition_on_deep_nesting():
