@@ -20,7 +20,6 @@ from .image_membership import (
     ConsMembership,
     GammaStep,
     GammaTrace,
-    SandwichDecomposition,
     gamma_trace,
     in_image_aba,
     in_image_cons,

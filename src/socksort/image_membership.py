@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .core import SockSeq
 
 __all__ = [
-    "SandwichDecomposition",
     "sandwich_decompose",
     "phi_cons_via_sandwich",
     "phi_aba_via_decomposition",
@@ -46,38 +45,31 @@ __all__ = [
 # consecutive aba
 
 
-@dataclass(frozen=True)
-class SandwichDecomposition:
-    """Socks removed by iterated sandwich extraction, with their original
-    indices in increasing order, plus the sandwich-free residual."""
-
-    removed: tuple[tuple[int, int], ...]  # (sock, original index)
-    residual: SockSeq
-
-
-def sandwich_decompose(p: Iterable[int]) -> SandwichDecomposition:
-    """Repeatedly extract the leftmost sandwiched sock until none remain.
+def sandwich_decompose(p: SockSeq) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Repeatedly extract the leftmost sandwiched sock until none remain;
+    returns the positions removed and the positions kept, each increasing.
 
     Removing a sandwiched sock merges an equal pair and never creates a
     new sandwich at or left of the removal point, so one left-to-right
-    pass over a stack of kept socks suffices: each incoming sock pops the
-    top when it sandwiches it, and removals come out in position order.
+    pass over a stack of kept positions suffices: each incoming sock pops
+    the top when it sandwiches it, and removals come out in position order.
     One pop per step is enough, because the new top then equals the
     incoming sock.
     """
-    kept: list[tuple[int, int]] = []  # (sock, original index)
-    removed: list[tuple[int, int]] = []
+    kept: list[int] = []
+    removed: list[int] = []
     for i, sock in enumerate(p):
-        if len(kept) >= 2 and kept[-2][0] == sock != kept[-1][0]:
+        if len(kept) >= 2 and p[kept[-2]] == sock != p[kept[-1]]:
             removed.append(kept.pop())
-        kept.append((sock, i))
-    return SandwichDecomposition(tuple(removed), tuple(s for s, _ in kept))
+        kept.append(i)
+    return tuple(removed), tuple(kept)
 
 
 def phi_cons_via_sandwich(p: Iterable[int]) -> SockSeq:
     """Evaluate the consecutive-aba map without running the stack."""
-    dec = sandwich_decompose(tuple(p))
-    return tuple(sock for sock, _ in dec.removed) + dec.residual[::-1]
+    seq = tuple(p)
+    removed, kept = sandwich_decompose(seq)
+    return tuple(seq[i] for i in removed) + tuple(seq[i] for i in reversed(kept))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ class CountTable:
     """Counts of one-pass-sortable standardized sequences by length and by
     number of distinct socks, with the two closed-form comparisons."""
 
-    max_n: int
     totals: tuple[int, ...]  # totals[n-1] = count at length n
     by_distinct: tuple[tuple[int, ...], ...]  # [n-1][r-1] = count with r socks
 
@@ -74,7 +73,7 @@ def count_one_stack_sortable(
                 row[len(set(q)) - 1] += 1
         totals.append(sum(row))
         rows.append(tuple(row))
-    return CountTable(max_n, tuple(totals), tuple(rows))
+    return CountTable(tuple(totals), tuple(rows))
 
 
 @lru_cache(maxsize=None)

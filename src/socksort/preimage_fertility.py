@@ -26,7 +26,6 @@ DEFAULT_MAX_LEN = 10
 @dataclass(frozen=True)
 class PreimageReport:
     target: SockSeq  # standardized
-    patterns: PatternSet
     preimages: tuple[SockSeq, ...]  # standardized, lexicographic
 
     @property
@@ -98,7 +97,7 @@ def preimages_of(target: Iterable[int], pats: Iterable[Pattern]) -> PreimageRepo
         raise ValueError("preimages are listed for the single-aba maps only")
     if len(t) > DEFAULT_MAX_LEN:
         raise ValueError(f"target length {len(t)} exceeds the bound {DEFAULT_MAX_LEN}")
-    return PreimageReport(t, pats_f, tuple(sorted(standardize(p) for p in lister(t))))
+    return PreimageReport(t, tuple(sorted(standardize(p) for p in lister(t))))
 
 
 def staircase_target(n: int, k: int) -> SockSeq:

@@ -26,7 +26,6 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class SortTrace:
-    input: SockSeq
     events: tuple[TraceEvent, ...]
     output: SockSeq
 
@@ -59,10 +58,9 @@ def phi(p: Iterable[int], pats: Iterable[Pattern]) -> SockSeq:
 
 def phi_trace(p: Iterable[int], pats: Iterable[Pattern]) -> SortTrace:
     """Like phi, but records every push and pop."""
-    seq = tuple(p)
     events: list[TraceEvent] = []
-    out = _run(seq, frozenset(pats), events)
-    return SortTrace(seq, tuple(events), out)
+    out = _run(tuple(p), frozenset(pats), events)
+    return SortTrace(tuple(events), out)
 
 
 def sweep(

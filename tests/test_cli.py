@@ -110,6 +110,34 @@ def test_image_check_cons_witness(capsys):
     ]
 
 
+def test_image_check_cons_trace_exact_text(capsys):
+    code, out = run(capsys, "image-check", "abacdca", "--map", "cons-aba", "--trace")
+    assert code == 0
+    assert out == "extracted: bd\nresidual: aacca\nverdict: NON-MEMBER\n"
+    code, out = run(capsys, "image-check", "abacdca", "--map", "cons-aba", "--trace",
+                    "--format", "json-lines")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"positions": [1, 4], "record": "extracted", "socks": [1, 3]},
+        {"record": "residual", "sequence": "aacca"},
+        {"member": False, "record": "verdict"},
+    ]
+
+
+def test_image_check_aba_trace_row_for_a_planted_divider(capsys):
+    # The last run b scores -1 and plants a divider at its own start.
+    code, out = run(capsys, "image-check", "abaccb", "--map", "aba", "--trace")
+    assert code == 0
+    assert out == (
+        "dividers: ab‖accb\n"
+        "  Ab‖accb  gamma=0\n"
+        "  ab‖Accb  gamma=-1\n"
+        "  abacCb  gamma=0\n"
+        "  abacc‖B  gamma=-1\n"
+        "verdict: NON-MEMBER (gamma=-1)\n"
+    )
+
+
 def test_image_check_cons_without_witness_flag(capsys):
     _, out = run(capsys, "image-check", "abb", "--map", "cons-aba")
     assert "witness" not in out
@@ -168,6 +196,19 @@ def test_fertility_rejects_bad_m(capsys):
     assert code == 2
 
 
+def test_fertility_checks_the_bound_before_building_the_witness(capsys, monkeypatch):
+    build = preimage_fertility.fertility_witness
+
+    def bounded(m, n, pats):
+        if n > 10:
+            pytest.fail(f"built a fertility witness of length {n}")
+        return build(m, n, pats)
+
+    monkeypatch.setattr(preimage_fertility, "fertility_witness", bounded)
+    assert main(["fertility", "--m", "3", "--n", "1000000000", "--map", "aba"]) == 2
+    assert capsys.readouterr().err == "error: target length 1000000000 exceeds the bound 10\n"
+
+
 def test_staircase_classical_matches_binomial(capsys):
     code, out = run(capsys, "staircase", "--n", "2", "--k", "2", "--map", "aba")
     assert code == 0
@@ -214,6 +255,17 @@ def test_witness_mixed_patterns(capsys):
     assert "verdict: never-sorts" in out
     assert "pass 1:" in out
     assert "cycle:" in out
+
+
+def test_witness_mixed_set_falls_back_to_search(capsys):
+    # The explicit witness fails for this set, so the search finds one.
+    code, out = run(capsys, "witness", "--patterns", "aa,abba", "--m", "3")
+    assert code == 0
+    assert out == (
+        "case: 2 witness: abab verdict: never-sorts\n"
+        "pass 1: baba\n"
+        "cycle: output renames to the input\n"
+    )
 
 
 def test_witness_rejects_excluded_shape(capsys):

@@ -44,15 +44,15 @@ long_seqs = st.tuples(st.integers(1, 30), st.integers(0, 500)).flatmap(
 
 
 def test_sandwich_decompose_example():
-    dec = sandwich_decompose(parse_sequence("abacdca"))
-    assert dec.removed == ((1, 1), (3, 4))
-    assert format_sequence(dec.residual) == "aacca"
+    p = parse_sequence("abacdca")
+    removed, kept = sandwich_decompose(p)
+    assert removed == (1, 4)
+    assert kept == (0, 2, 3, 5, 6)
+    assert format_sequence(p[i] for i in kept) == "aacca"
 
 
 def test_sandwich_decompose_no_sandwich():
-    dec = sandwich_decompose((0, 1, 1, 0))
-    assert dec.removed == ()
-    assert dec.residual == (0, 1, 1, 0)
+    assert sandwich_decompose((0, 1, 1, 0)) == ((), (0, 1, 2, 3))
 
 
 def test_phi_cons_via_sandwich_examples():

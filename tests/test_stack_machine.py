@@ -70,17 +70,18 @@ def test_sorted_inputs_with_cons_map_need_not_stay_sorted():
 
 
 def test_trace_structure():
-    tr = phi_trace((0, 0, 1), CONS_ABA)
+    p = (0, 0, 1)
+    tr = phi_trace(p, CONS_ABA)
     kinds = [ev.kind for ev in tr.events]
     assert kinds.count("push") == 3
     assert kinds.count("pop") == 3
     # Pops replay the output in order; pushes replay the input.
     pushes = [ev.sock for ev in tr.events if ev.kind == "push"]
     pops = [ev.sock for ev in tr.events if ev.kind == "pop"]
-    assert tuple(pushes) == tr.input
+    assert tuple(pushes) == p
     assert tuple(pops) == tr.output
     assert [ev.index for ev in tr.events if ev.kind == "push"] == [0, 1, 2]
-    assert tr.output == phi(tr.input, CONS_ABA)
+    assert tr.output == phi(p, CONS_ABA)
 
 
 @given(seqs)
