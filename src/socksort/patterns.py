@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .core import SockSeq, format_sequence, parse_sequence, standardize
 
@@ -87,27 +87,33 @@ def _matches_factor(seq: SockSeq, shape: SockSeq) -> bool:
     )
 
 
-def _embeds(seq: Sequence[int], shape: SockSeq, fwd: dict[int, int]) -> bool:
-    """Whether shape occurs as a subsequence of seq, extending the partial
-    letter->sock binding fwd.  Backtracks over positions keeping the
-    binding injective; fwd is restored before returning False.
+def _embeds(seq: Sequence[int], shape: SockSeq, fwd: dict[int, int]) -> int:
+    """Where shape occurs as a subsequence of seq, extending the partial
+    letter->sock binding fwd: the position matched to shape's last letter
+    in the first occurrence found, or -1 when there is none.  Backtracks
+    over positions keeping the binding injective; fwd is restored before
+    returning -1.
 
     Two prunes keep deep stacks cheap.  A letter is matched only at the
     first fitting occurrence of its sock, since a later one leaves less
     room for the rest of the shape.  A letter that recurs later in shape
     is never bound at the last occurrence of its sock, since the
-    recurrence could then not be matched."""
+    recurrence could then not be matched; the last-occurrence index is
+    built only when such a free letter exists."""
     k = len(shape)
     n = len(seq)
     if n < k:
-        return False
+        return -1
+    for letter, sock in fwd.items():
+        if letter in shape and sock not in seq:
+            return -1
     bound_socks = set(fwd.values())
-    last = {sock: j for j, sock in enumerate(seq)}
-    recurs = [shape[pi] in shape[pi + 1 :] for pi in range(k)]
+    recurs = [shape[pi] not in fwd and shape[pi] in shape[pi + 1 :] for pi in range(k)]
+    last = {sock: j for j, sock in enumerate(seq)} if any(recurs) else {}
 
-    def extend(pi: int, si: int) -> bool:
+    def extend(pi: int, si: int) -> int:
         if pi == k:
-            return True
+            return si - 1
         letter = shape[pi]
         stop = n - (k - pi - 1)
         bound = fwd.get(letter)
@@ -115,7 +121,7 @@ def _embeds(seq: Sequence[int], shape: SockSeq, fwd: dict[int, int]) -> bool:
             try:
                 j = seq.index(bound, si, stop)
             except ValueError:
-                return False
+                return -1
             return extend(pi + 1, j + 1)
         tried = set()
         for j in range(si, stop):
@@ -127,11 +133,12 @@ def _embeds(seq: Sequence[int], shape: SockSeq, fwd: dict[int, int]) -> bool:
                 continue
             fwd[letter] = sock
             bound_socks.add(sock)
-            if extend(pi + 1, j + 1):
-                return True
+            e = extend(pi + 1, j + 1)
+            if e >= 0:
+                return e
             del fwd[letter]
             bound_socks.remove(sock)
-        return False
+        return -1
 
     return extend(0, 0)
 
@@ -143,7 +150,7 @@ def contains(p: Iterable[int], pattern: Pattern) -> bool:
         return False
     if pattern.mode is Mode.CONSECUTIVE:
         return _matches_factor(seq, pattern.shape)
-    return _embeds(seq, pattern.shape, {})
+    return _embeds(seq, pattern.shape, {}) >= 0
 
 
 def avoids(p: Iterable[int], pats: Iterable[Pattern]) -> bool:
@@ -151,18 +158,32 @@ def avoids(p: Iterable[int], pats: Iterable[Pattern]) -> bool:
     return not any(contains(seq, pat) for pat in pats)
 
 
-Check = Callable[[list[int], int], bool]
+Check = Callable[[list[int], int], int]
+
+
+def _aba_pops(s: list[int], c: int) -> int:
+    # Each sock's copies are contiguous in an aba-avoiding stack: pop the
+    # socks above c's block.  The walk down costs what the pops cost.
+    if s[-1] == c or c not in s:
+        return 0
+    k = 1
+    while s[-1 - k] != c:
+        k += 1
+    return k
+
 
 # Closed forms for the short shapes the library's maps use: (consecutive,
 # shape) -> check on a non-empty, shape-avoiding stack s (bottom to top)
-# and a candidate c.  A classical occurrence ending at c picks earlier
-# letters from anywhere in s; a consecutive one is the top len(shape) - 1
-# socks.  Other shapes fall back to _embeds or to renaming the top window.
+# and a candidate c, returning how many socks must be popped before c is
+# pushed (a bool counts as 0 or 1).  A classical occurrence ending at c
+# picks earlier letters from anywhere in s; a consecutive one is the top
+# len(shape) - 1 socks.  Other shapes fall back to _embeds or to renaming
+# the top window.
 _CLOSED_FORMS: dict[tuple[bool, SockSeq], Check] = {
-    # Only the top sock can occur twice in an aab-avoiding stack.
-    (False, (0, 0, 1)): lambda s, c: s[-1] != c and s.count(s[-1]) > 1,
-    # Each sock's copies are contiguous in an aba-avoiding stack.
-    (False, (0, 1, 0)): lambda s, c: s[-1] != c and c in s,
+    # Only the top sock can occur twice in an aab-avoiding stack, and every
+    # sock from its second copy up is that sock: pop all its copies but one.
+    (False, (0, 0, 1)): lambda s, c: 0 if s[-1] == c else s.count(s[-1]) - 1,
+    (False, (0, 1, 0)): _aba_pops,
     (True, (0, 0, 1)): lambda s, c: len(s) >= 2 and s[-2] == s[-1] != c,
     (True, (0, 1, 0)): lambda s, c: len(s) >= 2 and s[-2] == c != s[-1],
 }
@@ -180,14 +201,30 @@ def _check(pat: Pattern) -> Check:
             len(s) >= k - 1 and standardize(tuple(s[1 - k :]) + (c,)) == shape
         )
     head, letter = shape[:-1], shape[-1]
-    return lambda s, c: _embeds(s, head, {letter: c})
+
+    def pops(s: list[int], c: int) -> int:
+        # An occurrence whose head ends at stack position e stays in every
+        # stack that still holds position e.
+        e = _embeds(s, head, {letter: c})
+        return len(s) - e if e >= 0 else 0
+
+    return pops
+
+
+def _either(first: Check, second: Check) -> Check:
+    """first's count when it is nonzero, else second's."""
+    return lambda s, c: first(s, c) or second(s, c)
 
 
 @lru_cache(maxsize=None)
 def _prepare(pats: PatternSet) -> Check:
-    """The push-legality check of a pattern set: violates(stack, candidate)
-    is True exactly when pushing the candidate onto the stack (a list read
-    bottom to top) would complete an occurrence of some pattern in pats.
+    """The push-legality check of a pattern set: must_pop(stack, candidate)
+    is how many socks to pop from the stack (a list read bottom to top)
+    before checking again.  It is 0 exactly when pushing the candidate
+    would complete no occurrence of a pattern in pats.  A nonzero count
+    comes from an occurrence ending at the candidate that survives in every
+    stack down to that many pops, so popping one sock per check would pop
+    them all too.  A set's check returns its first nonzero count.
 
     The stack must be non-empty and avoid every pattern in pats.  The
     stack machine keeps this true: each push is checked before it happens,
@@ -196,13 +233,4 @@ def _prepare(pats: PatternSet) -> Check:
     if not pats:
         raise ValueError("empty pattern set")
     checks = [_check(pat) for pat in sorted(pats, key=lambda q: (q.mode.value, q.shape))]
-    if len(checks) == 1:
-        return checks[0]
-
-    def violates(stack: list[int], candidate: int) -> bool:
-        for check in checks:
-            if check(stack, candidate):
-                return True
-        return False
-
-    return violates
+    return reduce(_either, checks)

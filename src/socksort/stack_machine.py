@@ -30,24 +30,23 @@ class SortTrace:
     output: SockSeq
 
 
-def _run(p: SockSeq, pats: frozenset[Pattern], events: list | None) -> SockSeq:
-    violates = _prepare(pats)
+def _run(p: SockSeq, pats: frozenset[Pattern], marks: list[int] | None) -> SockSeq:
+    """The machine's output; marks, when a list, gets the output length at
+    each push.  A check names how many socks to pop, so a run of forced
+    pops costs one check."""
+    must_pop = _prepare(pats)
     stack: list[int] = []
     out: list[int] = []
-    for i, sock in enumerate(p):
-        while stack and violates(stack, sock):
-            top = stack.pop()
-            if events is not None:
-                events.append(TraceEvent("pop", top, len(out)))
-            out.append(top)
+    for sock in p:
+        while stack and (k := must_pop(stack, sock)):
+            out.append(stack.pop())
+            if k > 1:
+                out += stack[:-k:-1]
+                del stack[1 - k :]
         stack.append(sock)
-        if events is not None:
-            events.append(TraceEvent("push", sock, i))
-    while stack:
-        top = stack.pop()
-        if events is not None:
-            events.append(TraceEvent("pop", top, len(out)))
-        out.append(top)
+        if marks is not None:
+            marks.append(len(out))
+    out += stack[::-1]
     return tuple(out)
 
 
@@ -57,9 +56,19 @@ def phi(p: Iterable[int], pats: Iterable[Pattern]) -> SockSeq:
 
 
 def phi_trace(p: Iterable[int], pats: Iterable[Pattern]) -> SortTrace:
-    """Like phi, but records every push and pop."""
+    """Like phi, but records every push and pop.  Before pushing p[i] the
+    machine has output out[:marks[i]], so the events follow from those
+    lengths."""
+    p = tuple(p)
+    marks: list[int] = []
+    out = _run(p, frozenset(pats), marks)
     events: list[TraceEvent] = []
-    out = _run(tuple(p), frozenset(pats), events)
+    popped = 0
+    for i, (sock, mark) in enumerate(zip(p, marks)):
+        events += [TraceEvent("pop", out[j], j) for j in range(popped, mark)]
+        events.append(TraceEvent("push", sock, i))
+        popped = mark
+    events += [TraceEvent("pop", out[j], j) for j in range(popped, len(out))]
     return SortTrace(tuple(events), out)
 
 
@@ -83,10 +92,13 @@ def sweep(
         for v in range(max(word, default=-1) + 2):
             word.append(v)
             marks = []
-            for violates, stack, out in machines:
+            for must_pop, stack, out in machines:
                 marks.append(len(out))
-                while stack and violates(stack, v):
+                while stack and (k := must_pop(stack, v)):
                     out.append(stack.pop())
+                    if k > 1:
+                        out += stack[:-k:-1]
+                        del stack[1 - k :]
                 stack.append(v)
             if len(word) == n:
                 yield tuple(word), *[tuple(out + stack[::-1]) for _, stack, out in machines]

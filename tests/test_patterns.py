@@ -40,6 +40,15 @@ def brute_occurs(seq, shape):
     )
 
 
+def ends_at(seq, shape, sock):
+    """Whether seq followed by sock holds a classical occurrence of shape
+    that ends at sock, by trying every position subset."""
+    return any(
+        standardize(sub + (sock,)) == shape
+        for sub in combinations(seq, len(shape) - 1)
+    )
+
+
 class TestPatternType:
     def test_constants(self):
         assert ABA_CONSECUTIVE == Pattern((0, 1, 0), Mode.CONSECUTIVE)
@@ -159,22 +168,22 @@ class TestPushGuard:
         ):
             if not stack or not avoids(stack, pats):
                 continue
-            assert _prepare(pats)(list(stack), sock) == (
+            assert bool(_prepare(pats)(list(stack), sock)) == (
                 not avoids(stack + (sock,), pats)
             )
 
     @given(short_seqs, st.integers(min_value=0, max_value=5))
     def test_classical_backtracker_agrees_with_brute_force(self, seq, sock):
         # _embeds itself needs no avoidance: it finds the occurrences that
-        # use the candidate as their last letter in any stack.
+        # use the candidate as their last letter in any stack, and the
+        # position it returns ends one of them.
         for shape in REFERENCE_SHAPES:
             pat = Pattern(shape, Mode.CLASSICAL)
             assert contains(seq, pat) == brute_occurs(seq, shape)
-            ending_at_sock = any(
-                standardize(sub + (sock,)) == shape
-                for sub in combinations(seq, len(shape) - 1)
-            )
-            assert _embeds(seq, shape[:-1], {shape[-1]: sock}) == ending_at_sock
+            e = _embeds(seq, shape[:-1], {shape[-1]: sock})
+            assert (e >= 0) == ends_at(seq, shape, sock)
+            if e >= 0:
+                assert ends_at(seq[: e + 1], shape, sock)
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_guard_agrees_with_brute_force_exhaustively(self, mode):
@@ -192,12 +201,32 @@ class TestPushGuard:
             k = len(shape)
             for sock in range(max(stack) + 2):
                 if mode is Mode.CLASSICAL:
-                    want = any(
-                        standardize(sub + (sock,)) == shape
-                        for sub in combinations(stack, k - 1)
-                    )
+                    want = ends_at(stack, shape, sock)
                 else:
                     top = stack[len(stack) - k + 1 :]
                     want = len(top) == k - 1 and standardize(top + (sock,)) == shape
                 got = _prepare(frozenset({pat}))(list(stack), sock)
-                assert got == want, (stack, sock, shape)
+                assert bool(got) == want, (stack, sock, shape)
+
+    def test_classical_pop_count_exhaustively(self):
+        # The count a classical check returns: 0 exactly when the push is
+        # legal, and otherwise every stack down to the popped height still
+        # holds an occurrence ending at the candidate, so the machine would
+        # pop each of those socks one at a time too.  The aba and aab
+        # closed forms are exact: after their pops the push is legal.
+        stacks = [q for n in range(1, 7) for q in enumerate_standardized(n)]
+        shapes = [q for k in range(2, 5) for q in enumerate_standardized(k)]
+        exact = {ABA_CLASSICAL.shape, AAB_CLASSICAL.shape}
+        for stack, shape in product(stacks, shapes):
+            pat = Pattern(shape, Mode.CLASSICAL)
+            if contains(stack, pat):
+                continue
+            n = len(stack)
+            for sock in range(max(stack) + 2):
+                k = _prepare(frozenset({pat}))(list(stack), sock)
+                assert 0 <= k <= n, (stack, sock, shape)
+                assert (k > 0) == ends_at(stack, shape, sock), (stack, sock, shape)
+                for height in range(n - k + 1, n + 1):
+                    assert ends_at(stack[:height], shape, sock), (stack, sock, shape, height)
+                if shape in exact:
+                    assert not contains(stack[: n - k] + (sock,), pat), (stack, sock, shape)

@@ -21,6 +21,7 @@ from socksort.patterns import (
 )
 from socksort.stack_machine import (
     IterationOutcome,
+    TraceEvent,
     is_one_stack_sortable,
     phi,
     phi_iterate,
@@ -107,6 +108,32 @@ def test_every_prefix_of_stack_avoids_patterns():
                 assert avoids(tuple(stack), pats), (q, tuple(stack))
             else:
                 assert stack.pop() == ev.sock
+
+
+def _reference_events(p, pats):
+    """The map by its definition: before each push, pop one sock at a time
+    while the stack with the candidate on top contains a pattern of pats."""
+    stack: list[int] = []
+    events = []
+    popped = 0
+    for i, sock in enumerate(p):
+        while stack and not avoids((*stack, sock), pats):
+            events.append(TraceEvent("pop", stack.pop(), popped))
+            popped += 1
+        stack.append(sock)
+        events.append(TraceEvent("push", sock, i))
+    while stack:
+        events.append(TraceEvent("pop", stack.pop(), popped))
+        popped += 1
+    return tuple(events)
+
+
+def test_phi_trace_matches_the_definition_level_machine():
+    # The legality checks pop several socks per check; the definition pops
+    # one per containment test.  Every push and pop must agree.
+    words = [q for n in range(8) for q in enumerate_standardized(n)]
+    for pats, q in product(map(parse_patterns, INVARIANT_SETS), words):
+        assert phi_trace(q, pats).events == _reference_events(q, pats), q
 
 
 def test_phi_iterate_sorts_quickly():
