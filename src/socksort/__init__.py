@@ -7,11 +7,9 @@ from .core import (
     equivalent,
     format_sequence,
     is_sorted,
-    is_standardized,
     parse_sequence,
     partition_to_seq,
     random_standardized,
-    rev,
     seq_to_partition,
     standardize,
 )

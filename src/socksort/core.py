@@ -29,11 +29,6 @@ def standardize(p: Iterable[int]) -> SockSeq:
     return tuple(out)
 
 
-def is_standardized(p: Iterable[int]) -> bool:
-    p = tuple(p)
-    return p == standardize(p)
-
-
 def equivalent(p: Iterable[int], q: Iterable[int]) -> bool:
     """True when p and q differ only by a renaming of socks: one pass that
     stops where the renaming breaks in either direction."""
@@ -59,10 +54,6 @@ def is_sorted(p: Iterable[int]) -> bool:
             seen.add(sock)
             prev = sock
     return True
-
-
-def rev(p: Iterable[int]) -> SockSeq:
-    return tuple(p)[::-1]
 
 
 def seq_to_partition(p: Iterable[int]) -> tuple[tuple[int, ...], ...]:

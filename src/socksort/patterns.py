@@ -228,8 +228,7 @@ def _prepare(pats: PatternSet) -> Check:
 
     The stack must be non-empty and avoid every pattern in pats.  The
     stack machine keeps this true: each push is checked before it happens,
-    pops only shorten the stack, and sweep's undo restores an earlier
-    state."""
+    pops only shorten the stack, and _undo restores an earlier state."""
     if not pats:
         raise ValueError("empty pattern set")
     checks = [_check(pat) for pat in sorted(pats, key=lambda q: (q.mode.value, q.shape))]

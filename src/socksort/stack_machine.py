@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import SockSeq, is_sorted, standardize
-from .patterns import Pattern, _prepare
+from .patterns import Check, Pattern, _prepare
 
 
 @dataclass(frozen=True)
@@ -30,38 +30,53 @@ class SortTrace:
     output: SockSeq
 
 
-def _run(p: SockSeq, pats: frozenset[Pattern], marks: list[int] | None) -> SockSeq:
-    """The machine's output; marks, when a list, gets the output length at
-    each push.  A check names how many socks to pop, so a run of forced
-    pops costs one check."""
-    must_pop = _prepare(pats)
-    stack: list[int] = []
-    out: list[int] = []
-    for sock in p:
+def _feed(must_pop: Check, stack: list[int], out: list[int], marks: list[int],
+          socks: Iterable[int]) -> None:
+    """Push each sock, first popping to out while must_pop says so, and
+    append the output length to marks after each push.  A check names how
+    many socks to pop, so a run of forced pops costs one check."""
+    for sock in socks:
         while stack and (k := must_pop(stack, sock)):
             out.append(stack.pop())
             if k > 1:
                 out += stack[:-k:-1]
                 del stack[1 - k :]
         stack.append(sock)
-        if marks is not None:
-            marks.append(len(out))
+        marks.append(len(out))
+
+
+def _undo(stack: list[int], out: list[int], marks: list[int]) -> None:
+    """Take back the last push and its pops.  Nothing is popped between
+    pushes, so before the last push's pops the output had the previous
+    push's mark (0 for the first push)."""
+    marks.pop()
+    stack.pop()
+    mark = marks[-1] if marks else 0
+    while len(out) > mark:
+        stack.append(out.pop())
+
+
+def _run(p: SockSeq, pats: frozenset[Pattern]) -> tuple[SockSeq, list[int]]:
+    """The machine's output and its marks: before pushing p[i] it has
+    output out[:marks[i]]."""
+    stack: list[int] = []
+    out: list[int] = []
+    marks: list[int] = []
+    _feed(_prepare(pats), stack, out, marks, p)
     out += stack[::-1]
-    return tuple(out)
+    return tuple(out), marks
 
 
 def phi(p: Iterable[int], pats: Iterable[Pattern]) -> SockSeq:
     """One pass of the sorting map for the given pattern set."""
-    return _run(tuple(p), frozenset(pats), None)
+    return _run(tuple(p), frozenset(pats))[0]
 
 
 def phi_trace(p: Iterable[int], pats: Iterable[Pattern]) -> SortTrace:
-    """Like phi, but records every push and pop.  Before pushing p[i] the
-    machine has output out[:marks[i]], so the events follow from those
-    lengths."""
+    """Like phi, but records every push and pop, which follow from the
+    output and its marks."""
     p = tuple(p)
-    marks: list[int] = []
-    out = _run(p, frozenset(pats), marks)
+    out, marks = _run(p, frozenset(pats))
     events: list[TraceEvent] = []
     popped = 0
     for i, (sock, mark) in enumerate(zip(p, marks)):
@@ -84,30 +99,21 @@ def sweep(
     each set (lists it must not change); True skips the words extending it."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    machines = [(_prepare(frozenset(pats)), [], []) for pats in pattern_sets]
-    emitted = [out for _, _, out in machines]
+    machines = [(_prepare(frozenset(pats)), [], [], []) for pats in pattern_sets]
+    emitted = [out for _, _, out, _ in machines]
     word: list[int] = []
 
     def grow() -> Iterator[tuple[SockSeq, ...]]:
         for v in range(max(word, default=-1) + 2):
             word.append(v)
-            marks = []
-            for must_pop, stack, out in machines:
-                marks.append(len(out))
-                while stack and (k := must_pop(stack, v)):
-                    out.append(stack.pop())
-                    if k > 1:
-                        out += stack[:-k:-1]
-                        del stack[1 - k :]
-                stack.append(v)
+            for m in machines:
+                _feed(*m, (v,))
             if len(word) == n:
-                yield tuple(word), *[tuple(out + stack[::-1]) for _, stack, out in machines]
+                yield tuple(word), *[tuple(out + stack[::-1]) for _, stack, out, _ in machines]
             elif prune is None or not prune(word, emitted):
                 yield from grow()
-            for mark, (_, stack, out) in zip(marks, machines):
-                stack.pop()
-                while len(out) > mark:
-                    stack.append(out.pop())
+            for _, stack, out, marks in machines:
+                _undo(stack, out, marks)
             word.pop()
 
     if not n:

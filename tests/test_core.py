@@ -11,11 +11,9 @@ from socksort.core import (
     equivalent,
     format_sequence,
     is_sorted,
-    is_standardized,
     parse_sequence,
     partition_to_seq,
     random_standardized,
-    rev,
     seq_to_partition,
     standardize,
 )
@@ -83,10 +81,6 @@ def test_is_sorted(p, expected):
     assert is_sorted(p) is expected
 
 
-def test_rev():
-    assert rev((0, 1, 2)) == (2, 1, 0)
-
-
 def test_partition_round_trip():
     p = (0, 1, 0, 2, 1)
     blocks = seq_to_partition(p)
@@ -120,7 +114,7 @@ def test_enumeration_matches_bell_numbers():
 def test_enumeration_is_lexicographic_and_standardized():
     seqs = list(enumerate_standardized(4))
     assert seqs == sorted(seqs)
-    assert all(is_standardized(q) for q in seqs)
+    assert all(q == standardize(q) for q in seqs)
     assert len(set(seqs)) == len(seqs)
 
 
@@ -131,7 +125,8 @@ def test_count_standardized_larger():
 def test_random_standardized_is_standardized():
     rng = random.Random(7)
     for n in (0, 1, 5, 40):
-        assert is_standardized(random_standardized(n, rng))
+        q = random_standardized(n, rng)
+        assert q == standardize(q)
 
 
 def test_random_standardized_seeded_reproducible():

@@ -207,7 +207,15 @@ def test_one_pass_sortable_counts_for_cons_map():
 )
 def test_classical_aba_machine_on_long_families(family):
     # Deep stacks: every push is checked against thousands of socks.
-    assert phi(family, CLASSICAL_ABA) == phi_aba_via_decomposition(family)
+    out = phi(family, CLASSICAL_ABA)
+    assert out == phi_aba_via_decomposition(family)
+    # The trace is built from the marks phi keeps: one push per input sock
+    # in input order, one pop per output sock.
+    trace = phi_trace(family, CLASSICAL_ABA)
+    assert trace.output == out
+    pushes = [e.index for e in trace.events if e.kind == "push"]
+    assert pushes == list(range(len(family)))
+    assert sum(e.kind == "pop" for e in trace.events) == len(family)
 
 
 @pytest.mark.parametrize("text", ["abba,abab", "abca,abac"])
