@@ -30,11 +30,9 @@ class SortTrace:
     output: SockSeq
 
 
-def _feed(must_pop: Check, stack: list[int], out: list[int], marks: list[int],
-          socks: Iterable[int]) -> None:
-    """Push each sock, first popping to out while must_pop says so, and
-    append the output length to marks after each push.  A check names how
-    many socks to pop, so a run of forced pops costs one check."""
+def _feed(must_pop: Check, stack: list[int], out: list[int], socks: Iterable[int]) -> None:
+    """Push each sock, first popping to out while must_pop says so.  A check
+    names how many socks to pop, so a run of forced pops costs one check."""
     for sock in socks:
         while stack and (k := must_pop(stack, sock)):
             out.append(stack.pop())
@@ -42,49 +40,39 @@ def _feed(must_pop: Check, stack: list[int], out: list[int], marks: list[int],
                 out += stack[:-k:-1]
                 del stack[1 - k :]
         stack.append(sock)
-        marks.append(len(out))
 
 
-def _undo(stack: list[int], out: list[int], marks: list[int]) -> None:
-    """Take back the last push and its pops.  Nothing is popped between
-    pushes, so before the last push's pops the output had the previous
-    push's mark (0 for the first push)."""
-    marks.pop()
+def _undo(stack: list[int], out: list[int], mark: int) -> None:
+    """Take back the last push and its pops, given mark, the output length
+    saved before that push."""
     stack.pop()
-    mark = marks[-1] if marks else 0
     while len(out) > mark:
         stack.append(out.pop())
 
 
-def _run(p: SockSeq, pats: frozenset[Pattern]) -> tuple[SockSeq, list[int]]:
-    """The machine's output and its marks: before pushing p[i] it has
-    output out[:marks[i]]."""
-    stack: list[int] = []
-    out: list[int] = []
-    marks: list[int] = []
-    _feed(_prepare(pats), stack, out, marks, p)
-    out += stack[::-1]
-    return tuple(out), marks
-
-
 def phi(p: Iterable[int], pats: Iterable[Pattern]) -> SockSeq:
     """One pass of the sorting map for the given pattern set."""
-    return _run(tuple(p), frozenset(pats))[0]
+    stack: list[int] = []
+    out: list[int] = []
+    _feed(_prepare(frozenset(pats)), stack, out, p)
+    return tuple(out + stack[::-1])
 
 
 def phi_trace(p: Iterable[int], pats: Iterable[Pattern]) -> SortTrace:
-    """Like phi, but records every push and pop, which follow from the
-    output and its marks."""
-    p = tuple(p)
-    out, marks = _run(p, frozenset(pats))
+    """Like phi, but records every push and pop."""
+    must_pop = _prepare(frozenset(pats))
+    stack: list[int] = []
+    out: list[int] = []
     events: list[TraceEvent] = []
-    popped = 0
-    for i, (sock, mark) in enumerate(zip(p, marks)):
-        events += [TraceEvent("pop", out[j], j) for j in range(popped, mark)]
+    for i, sock in enumerate(p):
+        mark = len(out)
+        _feed(must_pop, stack, out, (sock,))
+        events += [TraceEvent("pop", out[j], j) for j in range(mark, len(out))]
         events.append(TraceEvent("push", sock, i))
-        popped = mark
-    events += [TraceEvent("pop", out[j], j) for j in range(popped, len(out))]
-    return SortTrace(tuple(events), out)
+    mark = len(out)
+    out += stack[::-1]
+    events += [TraceEvent("pop", out[j], j) for j in range(mark, len(out))]
+    return SortTrace(tuple(events), tuple(out))
 
 
 def sweep(
@@ -99,21 +87,22 @@ def sweep(
     each set (lists it must not change); True skips the words extending it."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    machines = [(_prepare(frozenset(pats)), [], [], []) for pats in pattern_sets]
-    emitted = [out for _, _, out, _ in machines]
+    machines = [(_prepare(frozenset(pats)), [], []) for pats in pattern_sets]
+    emitted = [out for _, _, out in machines]
     word: list[int] = []
 
     def grow() -> Iterator[tuple[SockSeq, ...]]:
+        marks = [(stack, out, len(out)) for _, stack, out in machines]
         for v in range(max(word, default=-1) + 2):
             word.append(v)
             for m in machines:
                 _feed(*m, (v,))
             if len(word) == n:
-                yield tuple(word), *[tuple(out + stack[::-1]) for _, stack, out, _ in machines]
+                yield tuple(word), *[tuple(out + stack[::-1]) for _, stack, out in machines]
             elif prune is None or not prune(word, emitted):
                 yield from grow()
-            for _, stack, out, marks in machines:
-                _undo(stack, out, marks)
+            for m in marks:
+                _undo(*m)
             word.pop()
 
     if not n:

@@ -92,6 +92,15 @@ def test_trace_agrees_with_phi(p):
     assert len(tr.events) == 2 * len(p)
 
 
+@pytest.mark.parametrize("text", ["~aba", "aba", "abba,abab"])
+def test_phi_and_trace_accept_a_one_shot_iterator(text):
+    # Neither copies its input first, so each must read it exactly once.
+    pats = parse_patterns(text)
+    word = tuple(random.Random(len(text)).choices(range(6), k=40))
+    assert phi(iter(word), pats) == phi(word, pats)
+    assert phi_trace(iter(word), pats) == phi_trace(word, pats)
+
+
 INVARIANT_SETS = ("~aba", "aba", "aba,aab", "~aba,~aab", "abba,abab", "abca,abac", "aab",
                   "~aab", "aba,~aab")
 
@@ -209,8 +218,8 @@ def test_classical_aba_machine_on_long_families(family):
     # Deep stacks: every push is checked against thousands of socks.
     out = phi(family, CLASSICAL_ABA)
     assert out == phi_aba_via_decomposition(family)
-    # The trace is built from the marks phi keeps: one push per input sock
-    # in input order, one pop per output sock.
+    # The trace records what the machine does: one push per input sock in
+    # input order, one pop per output sock.
     trace = phi_trace(family, CLASSICAL_ABA)
     assert trace.output == out
     pushes = [e.index for e in trace.events if e.kind == "push"]
