@@ -172,18 +172,84 @@ def _aba_pops(s: list[int], c: int) -> int:
     return k
 
 
-# Closed forms for the short shapes the library's maps use: (consecutive,
-# shape) -> check on a non-empty, shape-avoiding stack s (bottom to top)
-# and a candidate c, returning how many socks must be popped before c is
-# pushed (a bool counts as 0 or 1).  A classical occurrence ending at c
-# picks earlier letters from anywhere in s; a consecutive one is the top
-# len(shape) - 1 socks.  Other shapes fall back to _embeds or to renaming
+def _abca_pops(s: list[int], c: int) -> int:
+    # After c's first copy: the first sock other than c and other than the
+    # first non-c sock after that copy.
+    if c not in s:
+        return 0
+    first = c
+    for j in range(s.index(c) + 1, len(s)):
+        x = s[j]
+        if x != c:
+            if first == c:
+                first = x
+            elif x != first:
+                return len(s) - j
+    return 0
+
+
+def _abba_pops(s: list[int], c: int) -> int:
+    # After c's first copy: the first repeat of a non-c sock.
+    if c not in s:
+        return 0
+    seen = set()
+    for j in range(s.index(c) + 1, len(s)):
+        x = s[j]
+        if x != c:
+            if x in seen:
+                return len(s) - j
+            seen.add(x)
+    return 0
+
+
+def _abab_pops(s: list[int], c: int) -> int:
+    # The first sock after c's first copy that also occurs before it.  A
+    # sock x first seen after that copy cannot end x c x: with a later c
+    # between, the stack would hold c x c x, an abab.
+    if c not in s:
+        return 0
+    i = s.index(c)
+    before = set(s[:i])
+    for j in range(i + 1, len(s)):
+        if s[j] in before:
+            return len(s) - j
+    return 0
+
+
+def _abac_pops(s: list[int], c: int) -> int:
+    # The first non-c sock with another non-c sock since its first copy:
+    # one seen before that is not the latest non-c sock.
+    seen = set()
+    latest = c
+    for j, x in enumerate(s):
+        if x != c and x != latest:
+            if x in seen:
+                return len(s) - j
+            seen.add(x)
+            latest = x
+    return 0
+
+
+# Closed forms for the short shapes the library's maps and the classical
+# unsortability checks use: (consecutive, shape) -> check on a non-empty,
+# shape-avoiding stack s (bottom to top) and a candidate c, returning how
+# many socks must be popped before c is pushed (a bool counts as 0 or 1).
+# A classical occurrence ending at c picks earlier letters from anywhere in
+# s; a consecutive one is the top len(shape) - 1 socks.  Each classical
+# form is one scan that finds the earliest stack position e where an
+# occurrence of the shape's head (all letters but the last, which is c)
+# ends, and pops len(s) - e, so after its pops the push is legal.  Other
+# classical shapes fall back to _embeds, other consecutive ones to renaming
 # the top window.
 _CLOSED_FORMS: dict[tuple[bool, SockSeq], Check] = {
     # Only the top sock can occur twice in an aab-avoiding stack, and every
     # sock from its second copy up is that sock: pop all its copies but one.
     (False, (0, 0, 1)): lambda s, c: 0 if s[-1] == c else s.count(s[-1]) - 1,
     (False, (0, 1, 0)): _aba_pops,
+    (False, (0, 1, 0, 1)): _abab_pops,
+    (False, (0, 1, 0, 2)): _abac_pops,
+    (False, (0, 1, 1, 0)): _abba_pops,
+    (False, (0, 1, 2, 0)): _abca_pops,
     (True, (0, 0, 1)): lambda s, c: len(s) >= 2 and s[-2] == s[-1] != c,
     (True, (0, 1, 0)): lambda s, c: len(s) >= 2 and s[-2] == c != s[-1],
 }

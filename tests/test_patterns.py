@@ -212,11 +212,12 @@ class TestPushGuard:
         # The count a classical check returns: 0 exactly when the push is
         # legal, and otherwise every stack down to the popped height still
         # holds an occurrence ending at the candidate, so the machine would
-        # pop each of those socks one at a time too.  The aba and aab
-        # closed forms are exact: after their pops the push is legal.
+        # pop each of those socks one at a time too.  The closed forms are
+        # exact: after their pops the push is legal.
         stacks = [q for n in range(1, 7) for q in enumerate_standardized(n)]
         shapes = [q for k in range(2, 5) for q in enumerate_standardized(k)]
-        exact = {ABA_CLASSICAL.shape, AAB_CLASSICAL.shape}
+        exact = {ABA_CLASSICAL.shape, AAB_CLASSICAL.shape,
+                 (0, 1, 2, 0), (0, 1, 1, 0), (0, 1, 0, 1), (0, 1, 0, 2)}
         for stack, shape in product(stacks, shapes):
             pat = Pattern(shape, Mode.CLASSICAL)
             if contains(stack, pat):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from socksort.core import (
     enumerate_standardized,
     is_sorted,
+    random_standardized,
     standardize,
 )
 from socksort.image_membership import phi_aba_via_decomposition
@@ -227,10 +228,31 @@ def test_classical_aba_machine_on_long_families(family):
     assert sum(e.kind == "pop" for e in trace.events) == len(family)
 
 
+FOUR_LETTER_SETS = ("abba,abab", "abca,abac", "abca", "abba", "abab", "abac")
+LONG_WORDS = {
+    "random": random_standardized(1000, random.Random(1)),
+    "fewsocks": tuple(random.Random(2).choices(range(8), k=1000)),
+    "increasing": tuple(range(200)),
+    "alternating": tuple(i % 2 for i in range(200)),
+    "axax": tuple(0 if i % 2 == 0 else i // 2 + 1 for i in range(201)),
+    "one-run": (0,) * 200,
+}
+
+
+@pytest.mark.parametrize("text", FOUR_LETTER_SETS)
+def test_four_letter_closed_forms_match_the_definition_on_long_words(text):
+    # The closed forms pop to the earliest end of an occurrence in one scan;
+    # the definition pops one sock per containment test.
+    pats = parse_patterns(text)
+    for name, word in LONG_WORDS.items():
+        ref = tuple(e.sock for e in _reference_events(word, pats) if e.kind == "pop")
+        assert phi(word, pats) == ref, name
+
+
 @pytest.mark.parametrize("text", ["abba,abab", "abca,abac"])
 def test_mixed_set_witness_maps_to_itself_at_length_99(text):
-    # a x1 a x2 ... a x49 a, well past the lengths verify reaches; the
-    # four-letter shapes go through the backtracking check.
+    # a x1 a x2 ... a x49 a, well past the lengths verify reaches; each
+    # four-letter shape has a one-scan closed-form check.
     witness = [0]
     for i in range(1, 50):
         witness += [i, 0]
