@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 from bisect import insort
 
 from . import core, image_membership, multipattern, preimage_fertility, stack_machine, verify
@@ -276,55 +274,19 @@ def cmd_verify(args, emit: Emitter) -> int:
 # bench
 
 
-BRUTE_HARD_CAP = 12
-POLY_LENGTH_CAP = 10_000
-
-
 def cmd_bench(args, emit: Emitter) -> int:
     parts = [part.strip() for part in args.lengths.split(",") if part.strip()]
     if not parts or not all(part.isdecimal() for part in parts):
         raise ValueError(f"bad lengths {args.lengths!r}")
-    lengths = [int(part) for part in parts]
-    if any(n > POLY_LENGTH_CAP for n in lengths):
-        raise ValueError(f"lengths above {POLY_LENGTH_CAP} are out of bounds")
-    rng = random.Random(args.seed)
     ok = True
-    for n in lengths:
-        seq = core.random_standardized(n, rng)
-        t0 = time.perf_counter()
-        res_cons = image_membership.in_image_cons(seq)
-        t1 = time.perf_counter()
-        res_aba = image_membership.in_image_aba(seq)
-        t2 = time.perf_counter()
-        emit.line(
-            f"length={n} cons-aba: member={'yes' if res_cons.member else 'no'} "
-            f"time={t1 - t0:.6f}s",
-            record="poly", length=n, map="cons-aba", member=res_cons.member,
-            seconds=t1 - t0,
-        )
-        emit.line(
-            f"length={n} aba: member={'yes' if res_aba.member else 'no'} "
-            f"time={t2 - t1:.6f}s",
-            record="poly", length=n, map="aba", member=res_aba.member,
-            seconds=t2 - t1,
-        )
-        if n <= BRUTE_HARD_CAP:
-            t3 = time.perf_counter()
-            enumerated = 0
-            hit_cons = hit_aba = False
-            for _, out_cons, out_aba in verify.outputs(n):
-                enumerated += 1
-                hit_cons = hit_cons or core.equivalent(out_cons, seq)
-                hit_aba = hit_aba or core.equivalent(out_aba, seq)
-            t4 = time.perf_counter()
-            agree = hit_cons == res_cons.member and hit_aba == res_aba.member
-            ok = ok and agree
-            emit.line(
-                f"length={n} brute: enumerated={enumerated} "
-                f"agree={'yes' if agree else 'NO'} time={t4 - t3:.3f}s",
-                record="brute", length=n, enumerated=enumerated, agree=agree,
-                seconds=t4 - t3,
-            )
+    for r in verify.bench([int(part) for part in parts], args.seed):
+        if r["record"] == "poly":
+            emit.line(f"length={r['length']} {r['map']}: member="
+                      f"{'yes' if r['member'] else 'no'} time={r['seconds']:.6f}s", **r)
+        else:
+            ok = ok and r["agree"]
+            emit.line(f"length={r['length']} brute: enumerated={r['enumerated']} "
+                      f"agree={'yes' if r['agree'] else 'NO'} time={r['seconds']:.3f}s", **r)
     return 0 if ok else 1
 
 

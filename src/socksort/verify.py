@@ -9,6 +9,8 @@ test can replace one and see the matching check fail.
 
 from __future__ import annotations
 
+import random
+import time
 from collections.abc import Iterator
 from math import comb
 
@@ -17,6 +19,9 @@ from .core import format_sequence, standardize
 from .patterns import parse_patterns
 
 Result = tuple[str, bool, dict]
+
+BRUTE_HARD_CAP = 12
+POLY_LENGTH_CAP = 10_000
 
 # Mixed pattern sets exercised by the unsortability suite: in each, one
 # shape revisits its first sock after an excursion and the other does not.
@@ -193,3 +198,31 @@ def run(max_n: int) -> list[Result]:
         sortable_counts(max_n),
         unsortability(),
     ]
+
+
+def bench(lengths: list[int], seed: int) -> Iterator[dict]:
+    """`socksort bench`'s records: per length, each map's timed verdict on one
+    seeded word, then up to BRUTE_HARD_CAP whether brute force agrees."""
+    if any(n > POLY_LENGTH_CAP for n in lengths):
+        raise ValueError(f"lengths above {POLY_LENGTH_CAP} are out of bounds")
+    rng = random.Random(seed)
+    for n in lengths:
+        seq = core.random_standardized(n, rng)
+        members = []
+        for name, test in (("cons-aba", image_membership.in_image_cons),
+                           ("aba", image_membership.in_image_aba)):
+            t0 = time.perf_counter()
+            members.append(test(seq).member)
+            yield {"record": "poly", "length": n, "map": name, "member": members[-1],
+                   "seconds": time.perf_counter() - t0}
+        if n <= BRUTE_HARD_CAP:
+            t0 = time.perf_counter()
+            enumerated = 0
+            hit_cons = hit_aba = False
+            for _, out_cons, out_aba in outputs(n):
+                enumerated += 1
+                hit_cons = hit_cons or core.equivalent(out_cons, seq)
+                hit_aba = hit_aba or core.equivalent(out_aba, seq)
+            yield {"record": "brute", "length": n, "enumerated": enumerated,
+                   "agree": [hit_cons, hit_aba] == members,
+                   "seconds": time.perf_counter() - t0}

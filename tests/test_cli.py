@@ -1,15 +1,26 @@
 import dataclasses
 import io
 import json
+import random
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from socksort import image_membership, multipattern, preimage_fertility, verify
+from socksort import (
+    core,
+    image_membership,
+    multipattern,
+    preimage_fertility,
+    stack_machine,
+    verify,
+)
 from socksort.cli import build_parser, main
-from socksort.core import enumerate_standardized
+from socksort.core import enumerate_standardized, random_standardized
 from socksort.stack_machine import is_one_stack_sortable
+
+GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_MEMBER_TRACE = """\
 dividers: bc‖ba‖bccdd
@@ -381,6 +392,76 @@ def test_verify_per_word_checks_catch_broken_functions(monkeypatch, check):
     assert all(ok for ok, _ in results.values())
 
 
+def _table_with(**changes):
+    def breakage(real):
+        return lambda max_n: dataclasses.replace(real(max_n), **changes)
+    return breakage
+
+
+def _witness_at(m, report):
+    def breakage(real):
+        return lambda pats, m_: report if m_ == m else real(pats, m_)
+    return breakage
+
+
+# Each breaks one library function through its module, so that exactly
+# one of verify.run's failure branches fires; (check, detail) is its record.
+BROKEN_CHECKS = {
+    "enumeration-size": (
+        core, "count_standardized", lambda real: lambda n: real(n) + (n == 3),
+        "evaluator-identities",
+        {"reason": "enumeration size mismatch", "per_length": [1, 1, 2, 5, 15, 52]},
+    ),
+    "fertility": (
+        preimage_fertility, "fertility_witness",
+        lambda real: lambda m, n, pats: real(n - m, n, pats),
+        "fertility-staircase", {"witness": "abb", "count": 2, "expected": 1},
+    ),
+    "staircase": (
+        preimage_fertility, "staircase_count_formula",
+        lambda real: lambda n, k, pats: real(n, k, pats) + ((n, k) == (2, 3)),
+        "fertility-staircase", {"n": 2, "k": 3, "count": 4, "expected": 5},
+    ),
+    "sortable-total": (
+        multipattern, "count_one_stack_sortable", _table_with(totals=(1, 2, 5, 8, 16)),
+        "sortable-counts", {"n": 3, "total": 5},
+    ),
+    "sortable-row": (
+        multipattern, "count_one_stack_sortable",
+        _table_with(by_distinct=((1,), (1, 1), (2, 1, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))),
+        "sortable-counts", {"n": 3, "row": [2, 1, 1]},
+    ),
+    "witness-verdict": (
+        multipattern, "unsortable_witness",
+        _witness_at(4, multipattern.WitnessReport(2, None, "search-exhausted")),
+        "unsortability", {"patterns": "abba,abab", "m": 4, "verdict": "search-exhausted"},
+    ),
+    "witness-pass": (
+        multipattern, "unsortable_witness",
+        _witness_at(3, multipattern.WitnessReport(2, (0, 0, 1), "never-sorts")),
+        "unsortability",
+        {"patterns": "abba,abab", "m": 3, "reason": "pass output not equivalent"},
+    ),
+    "witness-iteration": (
+        stack_machine, "phi_iterate",
+        lambda real: lambda p, pats, max_k: (
+            stack_machine.IterationResult(stack_machine.IterationOutcome.SORTED, 1, p)
+            if len(p) == 9 else real(p, pats, max_k=max_k)
+        ),
+        "unsortability", {"patterns": "abba,abab", "m": 5, "outcome": "sorted"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CHECKS))
+def test_verify_checks_report_their_failure_details(monkeypatch, case):
+    module, function, breakage, check, expected = BROKEN_CHECKS[case]
+    monkeypatch.setattr(module, function, breakage(getattr(module, function)))
+    results = {name: (ok, detail) for name, ok, detail in verify.run(5)}
+    assert results.pop(check) == (False, expected)
+    assert all(ok for ok, _ in results.values())
+
+
 def test_bench_small(capsys):
     code, out = run(capsys, "bench", "--lengths", "0,6", "--seed", "5")
     assert code == 0
@@ -391,6 +472,47 @@ def test_bench_small(capsys):
 def test_bench_rejects_huge_lengths(capsys):
     assert run(capsys, "bench", "--lengths", "20000")[0] == 2
     assert run(capsys, "bench", "--lengths", "nope")[0] == 2
+
+
+BENCH_GOLDEN_ARGV = ("bench", "--lengths", "0,1,6,9,100", "--seed", "5")
+
+
+def test_bench_matches_its_goldens_but_for_timings(capsys):
+    code, out = run(capsys, *BENCH_GOLDEN_ARGV, "--format", "json-lines")
+    assert code == 0
+    untimed = [
+        json.dumps({k: v for k, v in json.loads(line).items() if k != "seconds"},
+                   sort_keys=True)
+        for line in out.splitlines()
+    ]
+    assert "\n".join(untimed) + "\n" == (GOLDEN / "bench.jsonl").read_text(encoding="utf-8")
+    code, out = run(capsys, *BENCH_GOLDEN_ARGV)
+    assert code == 0
+    assert re.sub(r" time=[0-9.]+s", "", out) == (GOLDEN / "bench.txt").read_text(encoding="utf-8")
+
+
+def test_bench_exits_1_when_brute_force_disagrees(monkeypatch, capsys):
+    # bench draws its length-6 word first, so this is the word it tests.
+    word = random_standardized(6, random.Random(5))
+    real = image_membership.in_image_aba
+
+    def flipped(q):
+        res = real(q)
+        return dataclasses.replace(res, member=not res.member) if q == word else res
+
+    monkeypatch.setattr(image_membership, "in_image_aba", flipped)
+    code, out = run(capsys, "bench", "--lengths", "6", "--seed", "5")
+    assert code == 1
+    assert "length=6 aba: member=yes" in out
+    assert "length=6 brute: enumerated=203 agree=NO" in out
+
+
+def test_witness_exits_1_when_the_search_is_exhausted(monkeypatch, capsys):
+    # No single shape of length 2-4 exhausts the default search, so shorten it.
+    monkeypatch.setattr(multipattern, "WITNESS_SEARCH_LEN", 1)
+    code, out = run(capsys, "witness", "--patterns", "abba", "--m", "3")
+    assert code == 1
+    assert out == "case: 1 witness: - verdict: search-exhausted\n"
 
 
 # Library and command bound violations, each with the one stderr line
@@ -407,6 +529,7 @@ USAGE_ERRORS = [
     ("verify 10", "verify supports max_n between 3 and 9"),
     ("bench --lengths nope", "bad lengths 'nope'"),
     ("bench --lengths=+-5", "bad lengths '+-5'"),
+    ("bench --lengths 0,20000", "lengths above 10000 are out of bounds"),
     ("sort 1,² --pattern aba",
      "bad sock sequence '1,²': expected non-negative integers"),
 ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from socksort import multipattern, patterns, preimage_fertility, stack_machine
 from socksort.core import (
     count_standardized,
     enumerate_standardized,
@@ -156,3 +157,36 @@ def test_format_sequence_uses_letters_when_small():
 @given(sock_seqs)
 def test_parse_format_round_trip(p):
     assert parse_sequence(format_sequence(p)) == tuple(p)
+
+
+# One call past each library bound that no command reaches, with its message.
+LIBRARY_BOUNDS = {
+    "partition_to_seq([[0]])": (
+        lambda: partition_to_seq([[0]]), "positions must be integers >= 1, got 0"),
+    "enumerate_standardized(-1)": (
+        lambda: next(enumerate_standardized(-1)), "length must be >= 0"),
+    "count_standardized(-1)": (lambda: count_standardized(-1), "length must be >= 0"),
+    "random_standardized(-1)": (
+        lambda: random_standardized(-1, random.Random(0)), "length must be >= 0"),
+    "format_sequence((-1,))": (
+        lambda: format_sequence((-1,)), "sock ids must be non-negative"),
+    "build_one_stack_sortable(-1)": (
+        lambda: multipattern.build_one_stack_sortable(-1), "length must be >= 0"),
+    "Pattern(mode=str)": (
+        lambda: patterns.Pattern((0, 1), "classical"), "bad pattern mode 'classical'"),
+    "phi(empty set)": (lambda: stack_machine.phi((0, 1), []), "empty pattern set"),
+    "fertility_witness(aba,aab)": (
+        lambda: preimage_fertility.fertility_witness(1, 3, multipattern.ABA_AAB_PINNED),
+        "fertility witnesses apply to the single-aba maps only"),
+    "phi_iterate(max_k=-1)": (
+        lambda: stack_machine.phi_iterate((1, 0), multipattern.ABA_AAB_PINNED, max_k=-1),
+        "max_k must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_BOUNDS)
+def test_library_bounds_raise_value_error(case):
+    call, message = LIBRARY_BOUNDS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
