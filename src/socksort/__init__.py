@@ -14,10 +14,9 @@ from .core import (
     standardize,
 )
 from .image_membership import (
-    AbaMembership,
-    ConsMembership,
     GammaStep,
     GammaTrace,
+    Membership,
     gamma_trace,
     in_image_aba,
     in_image_cons,
@@ -51,6 +50,7 @@ from .patterns import (
 from .preimage_fertility import (
     CLASSICAL_ABA,
     CONS_ABA,
+    MAPS,
     PreimageReport,
     fertility_witness,
     preimages_of,

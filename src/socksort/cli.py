@@ -16,12 +16,7 @@ from bisect import insort
 
 from . import core, image_membership, multipattern, preimage_fertility, stack_machine, verify
 from .core import format_sequence, parse_sequence
-from .patterns import PatternSet, parse_patterns
-
-MAPS: dict[str, PatternSet] = {
-    "aba": preimage_fertility.CLASSICAL_ABA,
-    "cons-aba": preimage_fertility.CONS_ABA,
-}
+from .patterns import parse_patterns
 
 DIVIDER = "‖"  # double vertical bar
 SEQUENCE_HELP = "letters a-z or comma-separated integers; - reads it from stdin"
@@ -154,7 +149,7 @@ def cmd_image_check(args, emit: Emitter) -> int:
 
 def cmd_preimages(args, emit: Emitter) -> int:
     seq = parse_sequence(args.sequence)
-    report = preimage_fertility.preimages_of(seq, MAPS[args.map])
+    report = preimage_fertility.preimages_of(seq, preimage_fertility.MAPS[args.map])
     for q in report.preimages:
         emit.line(f"preimage: {format_sequence(q)}", record="preimage",
                   sequence=format_sequence(q))
@@ -164,7 +159,7 @@ def cmd_preimages(args, emit: Emitter) -> int:
 
 
 def cmd_fertility(args, emit: Emitter) -> int:
-    pats = MAPS[args.map]
+    pats = preimage_fertility.MAPS[args.map]
     if args.n > preimage_fertility.DEFAULT_MAX_LEN:  # before building the witness
         raise ValueError(
             f"target length {args.n} exceeds the bound {preimage_fertility.DEFAULT_MAX_LEN}")
@@ -181,7 +176,7 @@ def cmd_fertility(args, emit: Emitter) -> int:
 
 
 def cmd_staircase(args, emit: Emitter) -> int:
-    pats = MAPS[args.map]
+    pats = preimage_fertility.MAPS[args.map]
     count = preimage_fertility.staircase_preimage_count(args.n, args.k, pats)
     expected = preimage_fertility.staircase_count_formula(args.n, args.k, pats)
     ok = count == expected
@@ -317,24 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("image-check", cmd_image_check, "membership in a sorting map image")
     p.add_argument("sequence", help=SEQUENCE_HELP)
-    p.add_argument("--map", choices=sorted(MAPS), required=True)
+    p.add_argument("--map", choices=sorted(preimage_fertility.MAPS), required=True)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--witness", action="store_true",
                    help="print a preimage when the cons-aba verdict is MEMBER")
 
     p = add("preimages", cmd_preimages, "enumerate preimages up to renaming")
     p.add_argument("sequence")
-    p.add_argument("--map", choices=sorted(MAPS), required=True)
+    p.add_argument("--map", choices=sorted(preimage_fertility.MAPS), required=True)
 
     p = add("fertility", cmd_fertility, "witness with a prescribed preimage count")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--map", choices=sorted(MAPS), required=True)
+    p.add_argument("--map", choices=sorted(preimage_fertility.MAPS), required=True)
 
     p = add("staircase", cmd_staircase, "preimage count of a staircase target")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--map", choices=sorted(MAPS), required=True)
+    p.add_argument("--map", choices=sorted(preimage_fertility.MAPS), required=True)
 
     p = add("count-1ss", cmd_count_1ss, "count one-pass-sortable sequences")
     p.add_argument("--n-max", type=int, required=True)

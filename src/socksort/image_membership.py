@@ -31,14 +31,22 @@ __all__ = [
     "sandwich_decompose",
     "phi_cons_via_sandwich",
     "phi_aba_via_decomposition",
-    "ConsMembership",
+    "Membership",
     "in_image_cons",
     "GammaStep",
     "GammaTrace",
-    "AbaMembership",
     "in_image_aba",
     "gamma_trace",
 ]
+
+
+@dataclass(frozen=True)
+class Membership:
+    """An image test's verdict.  in_image_cons gives a witness preimage
+    with each member; gamma_trace(p) explains in_image_aba's verdict."""
+
+    member: bool
+    witness: SockSeq | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +80,6 @@ def phi_cons_via_sandwich(p: Iterable[int]) -> SockSeq:
     return tuple(seq[i] for i in removed) + tuple(seq[i] for i in reversed(kept))
 
 
-@dataclass(frozen=True)
-class ConsMembership:
-    member: bool
-    witness: SockSeq | None  # a preimage under the consecutive-aba map
-
-
 def _last_sandwich(t: SockSeq) -> int:
     """The last sandwiched position of t, 0 when there is none."""
     return next((i for i in range(len(t) - 2, 0, -1) if t[i - 1] == t[i + 1] != t[i]), 0)
@@ -90,7 +92,7 @@ def _takes(right: SockSeq, j: int, sock: int) -> bool:
     return sock != right[j] and (j + 2 == len(right) or sock != right[j + 2])
 
 
-def in_image_cons(p: Iterable[int]) -> ConsMembership:
+def in_image_cons(p: Iterable[int]) -> Membership:
     """Is p the output of one consecutive-aba pass?  Returns a witness
     preimage when it is.
 
@@ -113,9 +115,7 @@ def in_image_cons(p: Iterable[int]) -> ConsMembership:
             witness.append(left[k])
             k += 1
         witness.append(right[j])
-    if k < split:
-        return ConsMembership(False, None)
-    return ConsMembership(True, tuple(witness))
+    return Membership(False) if k < split else Membership(True, tuple(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +218,7 @@ def _gamma_scan(p: SockSeq, steps: list | None) -> tuple[list[int], int]:
     return initial, gamma
 
 
-@dataclass(frozen=True)
-class AbaMembership:
-    """The verdict of in_image_aba; gamma_trace(p) explains it."""
-
-    member: bool
-
-
-def in_image_aba(p: Iterable[int]) -> AbaMembership:
+def in_image_aba(p: Iterable[int]) -> Membership:
     """Is p the output of one classical-aba pass?
 
     Walk maximal runs left to right.  Crossing a divider costs 1.  A run
@@ -238,7 +231,7 @@ def in_image_aba(p: Iterable[int]) -> AbaMembership:
     the run start, already behind the cursor, so it is never crossed.
     Membership is final gamma >= 0.  The scan keeps no step records.
     """
-    return AbaMembership(_gamma_scan(tuple(p), None)[1] >= 0)
+    return Membership(_gamma_scan(tuple(p), None)[1] >= 0)
 
 
 def gamma_trace(p: Iterable[int]) -> GammaTrace:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .core import SockSeq, standardize
@@ -19,6 +19,7 @@ from .patterns import ABA_CLASSICAL, ABA_CONSECUTIVE, Pattern, PatternSet
 
 CONS_ABA: PatternSet = frozenset({ABA_CONSECUTIVE})
 CLASSICAL_ABA: PatternSet = frozenset({ABA_CLASSICAL})
+MAPS: dict[str, PatternSet] = {"cons-aba": CONS_ABA, "aba": CLASSICAL_ABA}  # report order
 
 DEFAULT_MAX_LEN = 10
 
@@ -33,37 +34,39 @@ class PreimageReport:
         return len(self.preimages)
 
 
+def _is_classical(pats: Iterable[Pattern], what: str) -> bool:
+    """Which of the two MAPS pats is: True for classical aba, False for
+    consecutive aba.  Any other pattern set raises."""
+    pats_f = frozenset(pats)
+    if pats_f not in MAPS.values():
+        raise ValueError(f"{what} apply to the single-aba maps only")
+    return pats_f == CLASSICAL_ABA
+
+
 def _classical(q: SockSeq) -> list[SockSeq]:
     """Every p with phi(p) == q under classical aba: the identity
     phi(x^b0 s_1 x^b1 ... s_r x^br) = phi(s_1) ... phi(s_r) x^m of
     phi_aba_via_decomposition, read backwards.  x is q's last sock, m its
-    trailing run's length, and x may not occur before that run.  The rest
-    cuts into r <= m parts, each the image of its own x-free segment, set
-    into the x-run at cut points 1 <= c_1 < ... < c_r <= m: C(m, r) ways."""
+    trailing run's length, and x may not occur before that run.  Read copy
+    by copy, p is the m copies of x, each followed by either nothing or a
+    preimage of the next part of the x-free rest, the parts covering that
+    rest in order."""
 
     @cache
     def lister(i: int, j: int) -> list[SockSeq]:  # the preimages of q[i:j]
         x, k = q[j - 1], j
         while k > i and q[k - 1] == x:
             k -= 1
-        m = j - k
-        if x in q[i:k]:
-            return []
+        return [] if x in q[i:k] else tails(i, k, j - k)
 
-        def cuts(a: int, budget: int):  # preimage lists of <= budget parts covering q[a:k]
-            if a == k:
-                yield ()
-            elif budget:
-                for b in range(a + 1, k + 1):
-                    if lister(a, b):
-                        yield from ((lister(a, b), *tail) for tail in cuts(b, budget - 1))
-
-        found = []
-        for parts in cuts(i, m):
-            for points in combinations(range(1, m + 1), len(parts)):
-                for segs in product(*parts):
-                    host = dict(zip(points, segs))
-                    found.append(tuple(v for c in range(1, m + 1) for v in (x, *host.get(c, ()))))
+    @cache
+    def tails(a: int, k: int, c: int) -> list[SockSeq]:  # c copies of x = q[k] hosting q[a:k]
+        if c == 0:
+            return [()] if a == k else []
+        x = q[k]
+        found = [(x, *rest) for rest in tails(a, k, c - 1)]
+        for b in range(a + 1, k + 1):
+            found += [(x, *seg, *rest) for seg in lister(a, b) for rest in tails(b, k, c - 1)]
         return found
 
     return lister(0, len(q)) if q else [()]
@@ -91,10 +94,8 @@ def preimages_of(target: Iterable[int], pats: Iterable[Pattern]) -> PreimageRepo
     """All preimages of target under one pass of either aba map, up to
     renaming.  Length is capped at DEFAULT_MAX_LEN, which bounds the
     number of preimages listed."""
-    t, pats_f = standardize(target), frozenset(pats)
-    lister = {CLASSICAL_ABA: _classical, CONS_ABA: _consecutive}.get(pats_f)
-    if lister is None:
-        raise ValueError("preimages are listed for the single-aba maps only")
+    t = standardize(target)
+    lister = _classical if _is_classical(pats, "preimages") else _consecutive
     if len(t) > DEFAULT_MAX_LEN:
         raise ValueError(f"target length {len(t)} exceeds the bound {DEFAULT_MAX_LEN}")
     return PreimageReport(t, tuple(sorted(standardize(p) for p in lister(t))))
@@ -123,12 +124,9 @@ def staircase_count_formula(n: int, k: int, pats: Iterable[Pattern]) -> int:
     pairs inside the trailing run to host the singleton socks, so the
     count is the partial binomial sum over j <= min(n, k-1).
     """
-    pats_f = frozenset(pats)
-    if pats_f == CLASSICAL_ABA:
+    if _is_classical(pats, "staircase counts"):
         return comb(k + n - 1, k - 1)
-    if pats_f == CONS_ABA:
-        return sum(comb(k - 1, j) for j in range(min(n, k - 1) + 1))
-    raise ValueError("staircase counts apply to the single-aba maps only")
+    return sum(comb(k - 1, j) for j in range(min(n, k - 1) + 1))
 
 
 def fertility_witness(m: int, n: int, pats: Iterable[Pattern]) -> SockSeq:
@@ -140,10 +138,6 @@ def fertility_witness(m: int, n: int, pats: Iterable[Pattern]) -> SockSeq:
     """
     if not 1 <= m <= n - 1:
         raise ValueError("need 1 <= m <= n-1")
-    pats_f = frozenset(pats)
-    if pats_f == CONS_ABA:
-        return (0,) + (1,) * m + tuple(range(2, n - m + 1))
-    if pats_f == CLASSICAL_ABA:
-        head = tuple(range(m))
-        return head + (m - 1,) + tuple(range(m, n - 1))
-    raise ValueError("fertility witnesses apply to the single-aba maps only")
+    if _is_classical(pats, "fertility witnesses"):
+        return tuple(range(m)) + (m - 1,) + tuple(range(m, n - 1))
+    return (0,) + (1,) * m + tuple(range(2, n - m + 1))

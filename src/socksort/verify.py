@@ -30,10 +30,9 @@ UNSORTABLE_LABELS = ("abba,abab", "abca,abac")
 
 def outputs(n: int) -> Iterator[tuple[core.SockSeq, ...]]:
     """Every canonical length-n word, in lexicographic order, with its
-    one-pass ~aba and aba outputs from one sweep of the stack machine."""
-    return stack_machine.sweep(
-        n, (preimage_fertility.CONS_ABA, preimage_fertility.CLASSICAL_ABA)
-    )
+    one-pass outputs under preimage_fertility.MAPS, ~aba then aba, from one
+    sweep of the stack machine."""
+    return stack_machine.sweep(n, tuple(preimage_fertility.MAPS.values()))
 
 
 def per_word(max_n: int) -> list[Result]:
@@ -42,13 +41,12 @@ def per_word(max_n: int) -> list[Result]:
     per_length: list[int] = []
     bad_evaluator = bad_witness = None
     mismatches: list[dict] = []
-    members = {"cons-aba": 0, "aba": 0}
+    members = dict.fromkeys(preimage_fertility.MAPS, 0)
     witnesses = 0
     for n in range(max_n + 1):
         rows = list(outputs(n))
         per_length.append(len(rows))
-        image_cons = {standardize(row[1]) for row in rows}
-        image_aba = {standardize(row[2]) for row in rows}
+        images = [{standardize(row[i]) for row in rows} for i in (1, 2)]
         for q, out_cons, out_aba in rows:
             if bad_evaluator is None and (
                 image_membership.phi_cons_via_sandwich(q) != out_cons
@@ -56,10 +54,8 @@ def per_word(max_n: int) -> list[Result]:
             ):
                 bad_evaluator = q
             res_cons = image_membership.in_image_cons(q)
-            for name, got, image in (
-                ("cons-aba", res_cons.member, image_cons),
-                ("aba", image_membership.in_image_aba(q).member, image_aba),
-            ):
+            verdicts = res_cons.member, image_membership.in_image_aba(q).member
+            for name, got, image in zip(members, verdicts, images):
                 want = q in image
                 if got != want:
                     if len(mismatches) < 5:
@@ -104,7 +100,7 @@ def per_word(max_n: int) -> list[Result]:
 def fertility_staircase(max_n: int) -> Result:
     fert_cap = min(max_n, 7)
     fert_checked = 0
-    for pats in (preimage_fertility.CONS_ABA, preimage_fertility.CLASSICAL_ABA):
+    for pats in preimage_fertility.MAPS.values():
         for n in range(2, fert_cap + 1):
             for m in range(1, n):
                 w = preimage_fertility.fertility_witness(m, n, pats)
@@ -117,7 +113,7 @@ def fertility_staircase(max_n: int) -> Result:
     stair_cap = min(max_n, 8)
     stair_checked = 0
     cons_binomial_misses = 0
-    for pats in (preimage_fertility.CONS_ABA, preimage_fertility.CLASSICAL_ABA):
+    for pats in preimage_fertility.MAPS.values():
         for n in range(1, stair_cap):
             for k in range(1, stair_cap - n + 1):
                 count = preimage_fertility.staircase_preimage_count(n, k, pats)
@@ -209,8 +205,8 @@ def bench(lengths: list[int], seed: int) -> Iterator[dict]:
     for n in lengths:
         seq = core.random_standardized(n, rng)
         members = []
-        for name, test in (("cons-aba", image_membership.in_image_cons),
-                           ("aba", image_membership.in_image_aba)):
+        tests = image_membership.in_image_cons, image_membership.in_image_aba
+        for name, test in zip(preimage_fertility.MAPS, tests):
             t0 = time.perf_counter()
             members.append(test(seq).member)
             yield {"record": "poly", "length": n, "map": name, "member": members[-1],

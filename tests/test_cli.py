@@ -575,6 +575,21 @@ def test_parser_options_are_pinned(capsys):
     assert "unrecognized arguments: --max-len 3" in capsys.readouterr().err
 
 
+def test_map_choices_come_from_the_one_table():
+    (subparsers,) = build_parser()._subparsers._group_actions
+    for name in ("image-check", "preimages", "fertility", "staircase"):
+        (action,) = [a for a in subparsers.choices[name]._actions if a.dest == "map"]
+        assert list(action.choices) == sorted(preimage_fertility.MAPS), name
+
+
+def test_verify_outputs_follow_the_one_table():
+    maps = preimage_fertility.MAPS.values()
+    for n in range(6):
+        for row in verify.outputs(n):
+            q = row[0]
+            assert row == (q, *(stack_machine.phi(q, pats) for pats in maps)), q
+
+
 def _readme_examples():
     """(argv, expected stdout lines) for each `$ socksort ...` line in
     README's CLI block that has output under it."""

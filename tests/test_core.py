@@ -178,6 +178,12 @@ LIBRARY_BOUNDS = {
     "fertility_witness(aba,aab)": (
         lambda: preimage_fertility.fertility_witness(1, 3, multipattern.ABA_AAB_PINNED),
         "fertility witnesses apply to the single-aba maps only"),
+    "preimages_of(aba,aab)": (
+        lambda: preimage_fertility.preimages_of((0, 1, 0), multipattern.ABA_AAB_PINNED),
+        "preimages apply to the single-aba maps only"),
+    "staircase_count_formula(aba,aab)": (
+        lambda: preimage_fertility.staircase_count_formula(2, 2, multipattern.ABA_AAB_PINNED),
+        "staircase counts apply to the single-aba maps only"),
     "phi_iterate(max_k=-1)": (
         lambda: stack_machine.phi_iterate((1, 0), multipattern.ABA_AAB_PINNED, max_k=-1),
         "max_k must be >= 0"),

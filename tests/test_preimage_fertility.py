@@ -97,8 +97,8 @@ def test_staircase_target_shape():
 
 
 def test_staircase_counts_classical_match_binomial():
-    for n in range(1, 5):
-        for k in range(1, 6 - n):
+    for n in range(1, DEFAULT_MAX_LEN):
+        for k in range(1, DEFAULT_MAX_LEN + 1 - n):
             got = staircase_preimage_count(n, k, CLASSICAL_ABA)
             assert got == comb(k + n - 1, k - 1), (n, k)
 
@@ -106,8 +106,8 @@ def test_staircase_counts_classical_match_binomial():
 def test_staircase_counts_cons_match_partial_sum():
     # The consecutive map admits strictly fewer preimages once both
     # n >= 2 and k >= 2; the closed form is a partial binomial sum.
-    for n in range(1, 5):
-        for k in range(1, 6 - n):
+    for n in range(1, DEFAULT_MAX_LEN):
+        for k in range(1, DEFAULT_MAX_LEN + 1 - n):
             got = staircase_preimage_count(n, k, CONS_ABA)
             assert got == staircase_count_formula(n, k, CONS_ABA), (n, k)
     assert staircase_preimage_count(2, 2, CONS_ABA) == 2
@@ -123,7 +123,7 @@ def test_staircase_formula_rejects_other_maps():
 
 @pytest.mark.parametrize("pats", [CONS_ABA, CLASSICAL_ABA], ids=["cons", "classical"])
 def test_fertility_witness_counts(pats):
-    for n in range(2, 7):
+    for n in range(2, DEFAULT_MAX_LEN + 1):
         for m in range(1, n):
             w = fertility_witness(m, n, pats)
             assert len(w) == n
