@@ -159,68 +159,34 @@ def cmd_preimages(args, emit: Emitter) -> int:
 
 
 def cmd_fertility(args, emit: Emitter) -> int:
-    pats = preimage_fertility.MAPS[args.map]
-    if args.n > preimage_fertility.DEFAULT_MAX_LEN:  # before building the witness
-        raise ValueError(
-            f"target length {args.n} exceeds the bound {preimage_fertility.DEFAULT_MAX_LEN}")
-    witness = preimage_fertility.fertility_witness(args.m, args.n, pats)
-    count = preimage_fertility.preimages_of(witness, pats).count
-    ok = count == args.m
-    emit.line(
-        f"witness: {format_sequence(witness)} preimages={count} expected={args.m} "
-        f"match={'yes' if ok else 'NO'}",
-        record="fertility", witness=format_sequence(witness), count=count,
-        expected=args.m, match=ok,
-    )
-    return 0 if ok else 1
+    r = verify.fertility(args.m, args.n, preimage_fertility.MAPS[args.map])
+    emit.line(f"witness: {r['witness']} preimages={r['count']} expected={r['expected']} "
+              f"match={'yes' if r['match'] else 'NO'}", **r)
+    return 0 if r["match"] else 1
 
 
 def cmd_staircase(args, emit: Emitter) -> int:
-    pats = preimage_fertility.MAPS[args.map]
-    count = preimage_fertility.staircase_preimage_count(args.n, args.k, pats)
-    expected = preimage_fertility.staircase_count_formula(args.n, args.k, pats)
-    ok = count == expected
-    target = preimage_fertility.staircase_target(args.n, args.k)
-    emit.line(
-        f"target: {format_sequence(target)} preimages={count} "
-        f"formula={expected} match={'yes' if ok else 'NO'}",
-        record="staircase", target=format_sequence(target), count=count,
-        expected=expected, match=ok,
-    )
-    return 0 if ok else 1
+    r = verify.staircase(args.n, args.k, preimage_fertility.MAPS[args.map])
+    emit.line(f"target: {r['target']} preimages={r['count']} formula={r['expected']} "
+              f"match={'yes' if r['match'] else 'NO'}", **r)
+    return 0 if r["match"] else 1
 
 
 def cmd_count_1ss(args, emit: Emitter) -> int:
-    table = multipattern.count_one_stack_sortable(args.n_max)
-    all_ok = True
-    for n in range(1, len(table.totals) + 1):
-        row = table.by_distinct[n - 1]
-        doubling = table.matches_doubling(n)
-        shifted = table.row_matches_shifted_binomial(n)
-        unshifted = table.row_matches_unshifted_binomial(n)
-        all_ok = all_ok and doubling and shifted
+    ok = True
+    for r in verify.count_1ss(args.n_max):
+        if r["record"] == "survey":
+            emit.line(f"survey aba={r['aba']} aab={r['aab']} "
+                      f"totals={','.join(map(str, r['totals']))} "
+                      f"doubling={'yes' if r['doubling'] else 'no'}", **r)
+            continue
+        ok = ok and r["doubling"] and r["shifted_binomial"]
         emit.line(
-            f"n={n} total={table.totals[n - 1]} "
-            f"pow2={'PASS' if doubling else 'FAIL'} "
-            f"row={','.join(map(str, row))} "
-            f"shifted_binomial={'PASS' if shifted else 'FAIL'} "
-            f"unshifted_binomial={'PASS' if unshifted else 'FAIL'}",
-            record="count", n=n, total=table.totals[n - 1], doubling=doubling,
-            by_distinct=list(row), shifted_binomial=shifted,
-            unshifted_binomial=unshifted,
-        )
-    for (aba_mode, aab_mode), counts in sorted(
-        multipattern.mode_combination_survey(min(args.n_max, 7)).items()
-    ):
-        doubles = all(c == 2 ** i for i, c in enumerate(counts))
-        emit.line(
-            f"survey aba={aba_mode} aab={aab_mode} "
-            f"totals={','.join(map(str, counts))} "
-            f"doubling={'yes' if doubles else 'no'}",
-            record="survey", aba=aba_mode, aab=aab_mode, totals=list(counts),
-            doubling=doubles,
-        )
-    return 0 if all_ok else 1
+            f"n={r['n']} total={r['total']} pow2={'PASS' if r['doubling'] else 'FAIL'} "
+            f"row={','.join(map(str, r['by_distinct']))} "
+            f"shifted_binomial={'PASS' if r['shifted_binomial'] else 'FAIL'} "
+            f"unshifted_binomial={'PASS' if r['unshifted_binomial'] else 'FAIL'}", **r)
+    return 0 if ok else 1
 
 
 def cmd_witness(args, emit: Emitter) -> int:

@@ -1,10 +1,12 @@
-"""The derived-value verification suite behind `socksort verify`.
+"""The derived-value verification suite behind `socksort verify`, and the
+records `bench`, `fertility`, `staircase` and `count-1ss` print.
 
-Each check returns a (name, passed, detail) record.  The three per-word
-checks share one brute-force pass over every canonical word up to the
-bound; `outputs` is that pass, and `bench` counts its brute-force hits
-from it too.  Library functions are called through their modules, so a
-test can replace one and see the matching check fail.
+Each check returns a (name, passed, detail) record; `fertility_staircase`
+and `sortable_counts` judge the commands' own records.  The three per-word
+checks share one brute-force pass, `outputs`, over every canonical word
+up to the bound; `bench` counts its brute-force hits from it too.
+Library functions are called through their modules, so a test can
+replace one and see the matching check fail.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb
 
 from . import core, image_membership, multipattern, preimage_fertility, stack_machine
 from .core import format_sequence, standardize
-from .patterns import parse_patterns
+from .patterns import PatternSet, parse_patterns
 
 Result = tuple[str, bool, dict]
 
@@ -97,18 +99,54 @@ def per_word(max_n: int) -> list[Result]:
     ]
 
 
+def fertility(m: int, n: int, pats: PatternSet) -> dict:
+    """`socksort fertility`'s record: the length-n witness built to have m
+    preimages under pats, and its listed preimage count."""
+    if n > preimage_fertility.DEFAULT_MAX_LEN:  # before building the witness
+        raise ValueError(
+            f"target length {n} exceeds the bound {preimage_fertility.DEFAULT_MAX_LEN}")
+    witness = preimage_fertility.fertility_witness(m, n, pats)
+    count = preimage_fertility.preimages_of(witness, pats).count
+    return {"record": "fertility", "witness": format_sequence(witness), "count": count,
+            "expected": m, "match": count == m}
+
+
+def staircase(n: int, k: int, pats: PatternSet) -> dict:
+    """`socksort staircase`'s record: the staircase target's listed preimage
+    count under pats against its closed form."""
+    count = preimage_fertility.staircase_preimage_count(n, k, pats)
+    expected = preimage_fertility.staircase_count_formula(n, k, pats)
+    return {"record": "staircase",
+            "target": format_sequence(preimage_fertility.staircase_target(n, k)),
+            "count": count, "expected": expected, "match": count == expected}
+
+
+def count_1ss(max_n: int) -> Iterator[dict]:
+    """`socksort count-1ss`'s records: per length up to max_n, the pinned
+    map's sortable count against the doubling and the binomial rows; then,
+    up to length 7, each mode combination's totals and whether they double."""
+    table = multipattern.count_one_stack_sortable(max_n)
+    for n, (total, row) in enumerate(zip(table.totals, table.by_distinct), 1):
+        yield {"record": "count", "n": n, "total": total,
+               "doubling": table.matches_doubling(n), "by_distinct": list(row),
+               "shifted_binomial": table.row_matches_shifted_binomial(n),
+               "unshifted_binomial": table.row_matches_unshifted_binomial(n)}
+    survey = multipattern.mode_combination_survey(min(max_n, 7))
+    for (aba, aab), counts in sorted(survey.items()):
+        yield {"record": "survey", "aba": aba, "aab": aab, "totals": list(counts),
+               "doubling": all(c == 2 ** i for i, c in enumerate(counts))}
+
+
 def fertility_staircase(max_n: int) -> Result:
     fert_cap = min(max_n, 7)
     fert_checked = 0
     for pats in preimage_fertility.MAPS.values():
         for n in range(2, fert_cap + 1):
             for m in range(1, n):
-                w = preimage_fertility.fertility_witness(m, n, pats)
-                count = preimage_fertility.preimages_of(w, pats).count
-                if count != m:
+                r = fertility(m, n, pats)
+                if not r["match"]:
                     return "fertility-staircase", False, {
-                        "witness": format_sequence(w), "count": count, "expected": m,
-                    }
+                        k: r[k] for k in ("witness", "count", "expected")}
                 fert_checked += 1
     stair_cap = min(max_n, 8)
     stair_checked = 0
@@ -116,14 +154,12 @@ def fertility_staircase(max_n: int) -> Result:
     for pats in preimage_fertility.MAPS.values():
         for n in range(1, stair_cap):
             for k in range(1, stair_cap - n + 1):
-                count = preimage_fertility.staircase_preimage_count(n, k, pats)
-                expected = preimage_fertility.staircase_count_formula(n, k, pats)
-                if count != expected:
+                r = staircase(n, k, pats)
+                if not r["match"]:
                     return "fertility-staircase", False, {
-                        "n": n, "k": k, "count": count, "expected": expected,
-                    }
+                        "n": n, "k": k, "count": r["count"], "expected": r["expected"]}
                 if pats is preimage_fertility.CONS_ABA:
-                    cons_binomial_misses += count != comb(k + n - 1, k - 1)
+                    cons_binomial_misses += r["count"] != comb(k + n - 1, k - 1)
                 stair_checked += 1
     return "fertility-staircase", True, {
         "fertility_cases": fert_checked,
@@ -133,12 +169,17 @@ def fertility_staircase(max_n: int) -> Result:
 
 
 def sortable_counts(max_n: int) -> Result:
-    table = multipattern.count_one_stack_sortable(max_n)
-    for n in range(1, max_n + 1):
-        if not table.matches_doubling(n):
-            return "sortable-counts", False, {"n": n, "total": table.totals[n - 1]}
-        if not table.row_matches_shifted_binomial(n):
-            return "sortable-counts", False, {"n": n, "row": list(table.by_distinct[n - 1])}
+    totals, doubling_modes = [], []
+    for r in count_1ss(max_n):
+        if r["record"] == "survey":
+            if r["doubling"]:
+                doubling_modes.append(f"{r['aba']}/{r['aab']}")
+            continue
+        n = r["n"]
+        if not r["doubling"]:
+            return "sortable-counts", False, {"n": n, "total": r["total"]}
+        if not r["shifted_binomial"]:
+            return "sortable-counts", False, {"n": n, "row": r["by_distinct"]}
         # The table counts exactly the sortable standardized words of
         # length n, so distinct sortable ones of that number are all of them.
         built = multipattern.build_one_stack_sortable(n)
@@ -148,17 +189,10 @@ def sortable_counts(max_n: int) -> Result:
             and stack_machine.is_one_stack_sortable(q, multipattern.ABA_AAB_PINNED)
             for q in built
         )
-        if not (sound and len(set(built)) == len(built) == table.totals[n - 1]):
+        if not (sound and len(set(built)) == len(built) == r["total"]):
             return "sortable-counts", False, {"n": n, "mismatch": "construction"}
-    survey = multipattern.mode_combination_survey(min(max_n, 7))
-    doubling_modes = sorted(
-        f"{aba}/{aab}"
-        for (aba, aab), counts in survey.items()
-        if all(c == 2 ** i for i, c in enumerate(counts))
-    )
-    return "sortable-counts", True, {
-        "totals": list(table.totals), "doubling_modes": doubling_modes,
-    }
+        totals.append(r["total"])
+    return "sortable-counts", True, {"totals": totals, "doubling_modes": sorted(doubling_modes)}
 
 
 def unsortability() -> Result:

@@ -3,8 +3,7 @@
 Each test is self-contained apart from the shared length-sweep fixture,
 so a failure points at exactly one guarantee.  Several checks enumerate
 every standardized sequence up to length 9 or 10, and c09 walks every
-one of length 12; the whole module took 22.5 s on a 2-CPU host with
-Python 3.11, most of it c09.
+one of length 12, which is most of the module's time.
 """
 
 import json

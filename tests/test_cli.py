@@ -462,6 +462,60 @@ def test_verify_checks_report_their_failure_details(monkeypatch, case):
     assert all(ok for ok, _ in results.values())
 
 
+def _pinned_table_with(**changes):
+    """Breaks the pinned map's count table only, so count-1ss's survey,
+    which counts other pattern sets, still runs."""
+    def breakage(real):
+        def broken(max_n, *pats):
+            table = real(max_n, *pats)
+            return table if pats else dataclasses.replace(table, **changes)
+        return broken
+    return breakage
+
+
+# Each breaks one library function through its module, as BROKEN_CHECKS
+# does; the command runs the case its verify check reports, and prints
+# the line with the same numbers.
+BROKEN_COMMANDS = {
+    "fertility": (
+        *BROKEN_CHECKS["fertility"],
+        "fertility --m 1 --n 3 --map cons-aba",
+        "witness: abb preimages=2 expected=1 match=NO",
+    ),
+    "staircase": (
+        *BROKEN_CHECKS["staircase"],
+        "staircase --n 2 --k 3 --map cons-aba",
+        "target: abccc preimages=4 formula=5 match=NO",
+    ),
+    "count-pow2": (
+        multipattern, "count_one_stack_sortable",
+        _pinned_table_with(totals=(1, 2, 5, 8, 16)),
+        "sortable-counts", {"n": 3, "total": 5},
+        "count-1ss --n-max 5",
+        "n=3 total=5 pow2=FAIL row=1,2,1 shifted_binomial=PASS unshifted_binomial=FAIL",
+    ),
+    "count-shifted-binomial": (
+        multipattern, "count_one_stack_sortable",
+        _pinned_table_with(
+            by_distinct=((1,), (1, 1), (2, 1, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1))),
+        "sortable-counts", {"n": 3, "row": [2, 1, 1]},
+        "count-1ss --n-max 5",
+        "n=3 total=4 pow2=PASS row=2,1,1 shifted_binomial=FAIL unshifted_binomial=FAIL",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_COMMANDS))
+def test_commands_exit_1_on_the_mismatch_their_check_reports(monkeypatch, capsys, case):
+    module, function, breakage, check, expected, argv, line = BROKEN_COMMANDS[case]
+    monkeypatch.setattr(module, function, breakage(getattr(module, function)))
+    code, out = run(capsys, *argv.split())
+    assert code == 1
+    assert line in out.splitlines()
+    results = {name: (ok, detail) for name, ok, detail in verify.run(5)}
+    assert results[check] == (False, expected)
+
+
 def test_bench_small(capsys):
     code, out = run(capsys, "bench", "--lengths", "0,6", "--seed", "5")
     assert code == 0
@@ -489,6 +543,27 @@ def test_bench_matches_its_goldens_but_for_timings(capsys):
     code, out = run(capsys, *BENCH_GOLDEN_ARGV)
     assert code == 0
     assert re.sub(r" time=[0-9.]+s", "", out) == (GOLDEN / "bench.txt").read_text(encoding="utf-8")
+
+
+# The commands whose outputs each golden pair holds, in order.
+COMMAND_GOLDENS = {
+    "count-1ss": ["count-1ss --n-max 8"],
+    "fertility": [f"fertility --m {m} --n {n} --map {name}"
+                  for m, n in ((3, 5), (9, 10)) for name in ("cons-aba", "aba")],
+    "staircase": [f"staircase --n {n} --k {n} --map {name}"
+                  for n in (2, 5) for name in ("cons-aba", "aba")],
+}
+
+
+@pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json-lines", "jsonl")])
+@pytest.mark.parametrize("command", sorted(COMMAND_GOLDENS))
+def test_commands_match_their_goldens(capsys, command, fmt, suffix):
+    out = ""
+    for argv in COMMAND_GOLDENS[command]:
+        code, text = run(capsys, *argv.split(), "--format", fmt)
+        assert code == 0, argv
+        out += text
+    assert out == (GOLDEN / f"{command}.{suffix}").read_text(encoding="utf-8")
 
 
 def test_bench_exits_1_when_brute_force_disagrees(monkeypatch, capsys):
