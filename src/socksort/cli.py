@@ -14,7 +14,7 @@ import json
 import sys
 from bisect import insort
 
-from . import core, image_membership, multipattern, preimage_fertility, stack_machine, verify
+from . import core, image_membership, preimage_fertility, stack_machine, verify
 from .core import format_sequence, parse_sequence
 from .patterns import parse_patterns
 
@@ -190,25 +190,17 @@ def cmd_count_1ss(args, emit: Emitter) -> int:
 
 
 def cmd_witness(args, emit: Emitter) -> int:
-    pats = parse_patterns(args.patterns)
-    report = multipattern.unsortable_witness(pats, args.m)
-    witness = None if report.witness is None else format_sequence(report.witness)
-    emit.line(
-        f"case: {report.case} witness: {witness or '-'} verdict: {report.verdict}",
-        record="witness", case=report.case, witness=witness,
-        verdict=report.verdict,
-    )
-    if report.witness is not None:
-        current = report.witness
-        for i in range(1, 4):
-            current = stack_machine.phi(current, pats)
-            emit.line(f"pass {i}: {format_sequence(current)}", record="pass",
-                      index=i, sequence=format_sequence(current))
-            if core.equivalent(current, report.witness):
-                emit.line("cycle: output renames to the input", record="cycle",
-                          after=i)
-                break
-    return 0 if report.verdict == "never-sorts" else 1
+    ok = False
+    for r in verify.witness(parse_patterns(args.patterns), args.m):
+        if r["record"] == "witness":
+            ok = r["verdict"] == "never-sorts"
+            emit.line(f"case: {r['case']} witness: {r['witness'] or '-'} "
+                      f"verdict: {r['verdict']}", **r)
+        elif r["record"] == "pass":
+            emit.line(f"pass {r['index']}: {r['sequence']}", **r)
+        else:
+            emit.line("cycle: output renames to the input", **r)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

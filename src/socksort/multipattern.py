@@ -132,10 +132,11 @@ def unsortable_witness(pats: Iterable[Pattern], m: int) -> WitnessReport:
 
     Shapes of the form a..aba..a are rejected up front; the mixed/uniform
     split below only covers sets without them.  Mixed sets (some shapes
-    revisit their first sock after an excursion, some do not) admit the
-    explicit witness a1 a2 a1 a3 a1 ... a1 am a1, which every pass maps
-    back to itself up to renaming.  Uniform sets fall back to iterating
-    each unsorted word up to length WITNESS_SEARCH_LEN from its sweep pass.
+    revisit their first sock after an excursion, some do not) keep a1 a2 a1
+    a3 a1 ... a1 am a1 if its orbit repeats a class unsorted within 3 passes:
+    pass 1 renames to it for abba,abab and abca,abac, pass 3 to pass 1 for
+    aab,abba.  Else, and for uniform sets, each unsorted word up to length
+    WITNESS_SEARCH_LEN is iterated from its sweep pass.
     """
     pats_f = frozenset(pats)
     if not pats_f:

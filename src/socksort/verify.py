@@ -1,12 +1,12 @@
 """The derived-value verification suite behind `socksort verify`, and the
-records `bench`, `fertility`, `staircase` and `count-1ss` print.
+records `bench`, `fertility`, `staircase`, `count-1ss` and `witness` print.
 
-Each check returns a (name, passed, detail) record; `fertility_staircase`
-and `sortable_counts` judge the commands' own records.  The three per-word
-checks share one brute-force pass, `outputs`, over every canonical word
-up to the bound; `bench` counts its brute-force hits from it too.
-Library functions are called through their modules, so a test can
-replace one and see the matching check fail.
+Each check returns a (name, passed, detail) record; `fertility_staircase`,
+`sortable_counts` and `unsortability` judge the commands' own records.
+The three per-word checks share one brute-force pass, `outputs`, over
+every canonical word up to the bound; `bench` counts its brute-force hits
+from it too.  Library functions are called through their modules, so a
+test can replace one and see the matching check fail.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from math import comb
 
 from . import core, image_membership, multipattern, preimage_fertility, stack_machine
-from .core import format_sequence, standardize
+from .core import format_sequence, parse_sequence, standardize
 from .patterns import PatternSet, parse_patterns
 
 Result = tuple[str, bool, dict]
@@ -137,6 +137,23 @@ def count_1ss(max_n: int) -> Iterator[dict]:
                "doubling": all(c == 2 ** i for i, c in enumerate(counts))}
 
 
+def witness(pats: PatternSet, m: int) -> Iterator[dict]:
+    """`socksort witness`'s records: case, witness and verdict, then up to
+    three passes, with a `cycle` record after the first that renames to it."""
+    report = multipattern.unsortable_witness(pats, m)
+    current = seq = report.witness
+    yield {"record": "witness", "case": report.case, "verdict": report.verdict,
+           "witness": None if seq is None else format_sequence(seq)}
+    if seq is None:
+        return
+    for i in range(1, 4):
+        current = stack_machine.phi(current, pats)
+        yield {"record": "pass", "index": i, "sequence": format_sequence(current)}
+        if core.equivalent(current, seq):
+            yield {"record": "cycle", "after": i}
+            return
+
+
 def fertility_staircase(max_n: int) -> Result:
     fert_cap = min(max_n, 7)
     fert_checked = 0
@@ -200,16 +217,14 @@ def unsortability() -> Result:
     for label in UNSORTABLE_LABELS:
         pats = parse_patterns(label)
         for m in range(2, 7):
-            report = multipattern.unsortable_witness(pats, m)
-            if report.verdict != "never-sorts" or report.witness is None:
+            head, *rest = witness(pats, m)
+            if head["verdict"] != "never-sorts" or head["witness"] is None:
                 return "unsortability", False, {"patterns": label, "m": m,
-                                                "verdict": report.verdict}
-            out = stack_machine.phi(report.witness, pats)
-            if not core.equivalent(out, report.witness):
-                return "unsortability", False, {
-                    "patterns": label, "m": m, "reason": "pass output not equivalent",
-                }
-            res = stack_machine.phi_iterate(report.witness, pats, max_k=3)
+                                                "verdict": head["verdict"]}
+            if rest[1:2] != [{"record": "cycle", "after": 1}]:
+                return "unsortability", False, {"patterns": label, "m": m,
+                                                "reason": "pass output not equivalent"}
+            res = stack_machine.phi_iterate(parse_sequence(head["witness"]), pats, max_k=3)
             if res.outcome is not stack_machine.IterationOutcome.NEVER_SORTS:
                 return "unsortability", False, {
                     "patterns": label, "m": m, "outcome": res.outcome.value,

@@ -48,27 +48,9 @@ from socksort.stack_machine import (
 SWEEP_MAX = 9
 GOLDEN = Path(__file__).parent / "golden"
 
-GOLDEN_MEMBER_TRACE = """\
-dividers: bc‖ba‖bccdd
-  Bc‖ba‖bccdd  gamma=0
-  bc‖Ba‖bccdd  gamma=-1
-  bc‖ba‖Bccdd  gamma=-2
-  bc‖babcCdd  gamma=-1
-  bcbabccdD  gamma=0
-verdict: MEMBER (gamma=0)
-"""
-
-GOLDEN_NONMEMBER_TRACE = """\
-dividers: bc‖bc‖baa‖bcccdd
-  Bc‖bc‖baa‖bcccdd  gamma=0
-  bc‖Bc‖baa‖bcccdd  gamma=-1
-  bc‖bc‖Baa‖bcccdd  gamma=-2
-  bc‖bcbaA‖bcccdd  gamma=-1
-  bc‖bcbaa‖Bcccdd  gamma=-2
-  bc‖bcbaa‖bccCdd  gamma=-2
-  bc‖bcbaabcccdD  gamma=-1
-verdict: NON-MEMBER (gamma=-1)
-"""
+GOLDEN_MEMBER_TRACE = (GOLDEN / "image-check-member-trace.txt").read_text(encoding="utf-8")
+GOLDEN_NONMEMBER_TRACE = (GOLDEN / "image-check-nonmember-trace.txt").read_text(
+    encoding="utf-8")
 
 
 @pytest.fixture(scope="module")

@@ -22,27 +22,9 @@ from socksort.stack_machine import is_one_stack_sortable
 
 GOLDEN = Path(__file__).parent / "golden"
 
-GOLDEN_MEMBER_TRACE = """\
-dividers: bc‖ba‖bccdd
-  Bc‖ba‖bccdd  gamma=0
-  bc‖Ba‖bccdd  gamma=-1
-  bc‖ba‖Bccdd  gamma=-2
-  bc‖babcCdd  gamma=-1
-  bcbabccdD  gamma=0
-verdict: MEMBER (gamma=0)
-"""
-
-GOLDEN_NONMEMBER_TRACE = """\
-dividers: bc‖bc‖baa‖bcccdd
-  Bc‖bc‖baa‖bcccdd  gamma=0
-  bc‖Bc‖baa‖bcccdd  gamma=-1
-  bc‖bc‖Baa‖bcccdd  gamma=-2
-  bc‖bcbaA‖bcccdd  gamma=-1
-  bc‖bcbaa‖Bcccdd  gamma=-2
-  bc‖bcbaa‖bccCdd  gamma=-2
-  bc‖bcbaabcccdD  gamma=-1
-verdict: NON-MEMBER (gamma=-1)
-"""
+GOLDEN_MEMBER_TRACE = (GOLDEN / "image-check-member-trace.txt").read_text(encoding="utf-8")
+GOLDEN_NONMEMBER_TRACE = (GOLDEN / "image-check-nonmember-trace.txt").read_text(
+    encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -502,6 +484,11 @@ BROKEN_COMMANDS = {
         "count-1ss --n-max 5",
         "n=3 total=4 pow2=PASS row=2,1,1 shifted_binomial=FAIL unshifted_binomial=FAIL",
     ),
+    "witness": (
+        *BROKEN_CHECKS["witness-verdict"],
+        "witness --patterns abba,abab --m 4",
+        "case: 2 witness: - verdict: search-exhausted",
+    ),
 }
 
 
@@ -552,6 +539,9 @@ COMMAND_GOLDENS = {
                   for m, n in ((3, 5), (9, 10)) for name in ("cons-aba", "aba")],
     "staircase": [f"staircase --n {n} --k {n} --map {name}"
                   for n in (2, 5) for name in ("cons-aba", "aba")],
+    # aab,abba passes three times without a cycle line; abab is case 1.
+    "witness": ["witness --patterns abba,abab --m 4", "witness --patterns abca,abac --m 3",
+                "witness --patterns aab,abba --m 3", "witness --patterns abab --m 3"],
 }
 
 
