@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from bisect import insort
 
-from . import core, image_membership, preimage_fertility, stack_machine, verify
+from . import core, preimage_fertility, verify
 from .core import format_sequence, parse_sequence
 from .patterns import parse_patterns
 
-DIVIDER = "‖"  # double vertical bar
 SEQUENCE_HELP = "letters a-z or comma-separated integers; - reads it from stdin"
 
 
@@ -27,184 +25,110 @@ class Emitter:
         self.json = fmt == "json-lines"
 
     def line(self, text: str, **record) -> None:
-        if self.json:
-            print(json.dumps(record, sort_keys=True))
-        else:
-            print(text)
+        print(json.dumps(record, sort_keys=True) if self.json else text)
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# subcommands: each but verify renders the records a verify generator yields
 
 
-def render_dividers(seq: core.SockSeq, dividers, mark: int | None = None) -> str:
-    """Sequence with divider bars, optionally highlighting one position
-    (uppercase in letter form, brackets in integer form)."""
-    div = set(dividers)
-    letters = all(s < 26 for s in seq)
-    out: list[str] = []
-    for i, sock in enumerate(seq):
-        if i > 0:
-            out.append(DIVIDER if i in div else ("" if letters else ","))
-        tok = core._LETTERS[sock] if letters else str(sock)
-        if mark == i:
-            tok = tok.upper() if letters else f"[{tok}]"
-        out.append(tok)
-    return "".join(out)
+def render(emit: Emitter, records, text: dict, ok=None) -> int:
+    """Print each record as text[its kind] writes it; exit code 1 if ok rejects one."""
+    failed = False
+    for r in records:
+        failed |= ok is not None and not ok(r)
+        emit.line(text[r["record"]](r), **r)
+    return int(failed)
 
 
-def _gamma_rows(trace: image_membership.GammaTrace):
-    """Change-point rows: the start, every divider crossing, and every run
-    that scores or has length >= 2; each rendered after its own edits."""
-    layout = list(trace.initial_dividers)
-    yield 0, 0, tuple(layout)
-    for st in trace.steps:
-        if st.kind == "run":
-            if st.score > 0:
-                for d in st.dividers:
-                    layout.remove(d)
-            elif st.score == -1:
-                insort(layout, st.dividers[0])
-            elif st.run_length < 2:
-                continue
-        yield st.position, st.gamma_after, tuple(layout)
+def read_sequence(text: str) -> core.SockSeq:
+    return parse_sequence(sys.stdin.read() if text == "-" else text)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def say(flag: bool, yes: str = "yes", no: str = "NO") -> str:
+    return yes if flag else no
+
+
+PASS = "pass {index}: {sequence}".format_map
 
 
 def cmd_sort(args, emit: Emitter) -> int:
-    seq = parse_sequence(sys.stdin.read() if args.sequence == "-" else args.sequence)
-    pats = parse_patterns(args.pattern)
-    if args.k < 1:
-        raise ValueError("--k must be at least 1")
-    letters = all(s < 26 for s in seq)  # every pass permutes the same socks
-    current = seq
-    for i in range(1, args.k + 1):
-        if args.trace:
-            trace = stack_machine.phi_trace(current, pats)
-            for ev in trace.events:
-                side = "input" if ev.kind == "push" else "output"
-                sock = core._LETTERS[ev.sock] if letters else ev.sock
-                emit.line(
-                    f"{ev.kind} {sock} ({side} {ev.index})",
-                    record="event", kind=ev.kind, sock=ev.sock, index=ev.index,
-                    pass_index=i,
-                )
-            current = trace.output
-        else:
-            current = stack_machine.phi(current, pats)
-        if args.k > 1:
-            emit.line(f"pass {i}: {format_sequence(current)}", record="pass",
-                      index=i, sequence=format_sequence(current))
-        if core.is_sorted(current) and i < args.k:
-            emit.line(f"sorted after {i} passes", record="sorted-early", passes=i)
-            break
-    emit.line(
-        f"output: {format_sequence(current)}",
-        record="output",
-        sequence=format_sequence(current),
-        sorted=core.is_sorted(current),
-    )
-    return 0
+    seq = read_sequence(args.sequence)
+    letters = core.letter_form(seq)  # every pass permutes the same socks
+    return render(emit, verify.sort(seq, parse_patterns(args.pattern), args.k, args.trace), {
+        "event": lambda r: f"{r['kind']} {format_sequence((r['sock'],), letters)} "
+                           f"({'input' if r['kind'] == 'push' else 'output'} {r['index']})",
+        "pass": PASS,
+        "sorted-early": "sorted after {passes} passes".format_map,
+        "output": "output: {sequence}".format_map,
+    })
 
 
 def cmd_image_check(args, emit: Emitter) -> int:
-    seq = parse_sequence(sys.stdin.read() if args.sequence == "-" else args.sequence)
-    if args.map == "aba" and args.witness:
-        raise ValueError("--witness applies to the cons-aba map only")
-    if args.map == "cons-aba":
-        res = image_membership.in_image_cons(seq)
-        if args.trace:
-            removed, kept = image_membership.sandwich_decompose(seq)
-            extracted = [seq[i] for i in removed]
-            emit.line(f"extracted: {format_sequence(extracted)}", record="extracted",
-                      socks=extracted, positions=list(removed))
-            residual = format_sequence(seq[i] for i in kept)
-            emit.line(f"residual: {residual}", record="residual", sequence=residual)
-        verdict = "MEMBER" if res.member else "NON-MEMBER"
-        emit.line(f"verdict: {verdict}", record="verdict", member=res.member)
-        if args.witness:
-            witness = None if res.witness is None else format_sequence(res.witness)
-            emit.line(f"witness: {'none' if witness is None else witness}",
-                      record="witness", sequence=witness)
-        return 0
-    trace = image_membership.gamma_trace(seq)
-    member = trace.final_gamma >= 0
-    rendered = render_dividers(seq, trace.initial_dividers)
-    emit.line(f"dividers: {rendered}", record="dividers",
-              positions=list(trace.initial_dividers), rendered=rendered)
-    if args.trace:
-        for pos, gamma, layout in _gamma_rows(trace):
-            row = render_dividers(seq, layout, mark=pos)
-            emit.line(f"  {row}  gamma={gamma}", record="gamma-row",
-                      position=pos, gamma=gamma, dividers=list(layout),
-                      rendered=row)
-    verdict = "MEMBER" if member else "NON-MEMBER"
-    emit.line(f"verdict: {verdict} (gamma={trace.final_gamma})",
-              record="verdict", member=member, gamma=trace.final_gamma)
-    return 0
+    seq = read_sequence(args.sequence)
+    return render(emit, verify.image_check(seq, args.map, args.trace, args.witness), {
+        "extracted": lambda r: "extracted: " + format_sequence(r["socks"], core.letter_form(seq)),
+        "residual": "residual: {sequence}".format_map,
+        "witness": lambda r: f"witness: {'none' if r['sequence'] is None else r['sequence']}",
+        "dividers": "dividers: {rendered}".format_map,
+        "gamma-row": "  {rendered}  gamma={gamma}".format_map,
+        "verdict": lambda r: f"verdict: {say(r['member'], 'MEMBER', 'NON-MEMBER')}"
+                             + (f" (gamma={r['gamma']})" if "gamma" in r else ""),
+    })
 
 
 def cmd_preimages(args, emit: Emitter) -> int:
     seq = parse_sequence(args.sequence)
-    report = preimage_fertility.preimages_of(seq, preimage_fertility.MAPS[args.map])
-    for q in report.preimages:
-        emit.line(f"preimage: {format_sequence(q)}", record="preimage",
-                  sequence=format_sequence(q))
-    emit.line(f"count: {report.count}", record="count",
-              target=format_sequence(report.target), count=report.count)
-    return 0
+    return render(emit, verify.preimages(seq, preimage_fertility.MAPS[args.map]), {
+        "preimage": "preimage: {sequence}".format_map, "count": "count: {count}".format_map})
 
 
 def cmd_fertility(args, emit: Emitter) -> int:
     r = verify.fertility(args.m, args.n, preimage_fertility.MAPS[args.map])
     emit.line(f"witness: {r['witness']} preimages={r['count']} expected={r['expected']} "
-              f"match={'yes' if r['match'] else 'NO'}", **r)
+              f"match={say(r['match'])}", **r)
     return 0 if r["match"] else 1
 
 
 def cmd_staircase(args, emit: Emitter) -> int:
     r = verify.staircase(args.n, args.k, preimage_fertility.MAPS[args.map])
     emit.line(f"target: {r['target']} preimages={r['count']} formula={r['expected']} "
-              f"match={'yes' if r['match'] else 'NO'}", **r)
+              f"match={say(r['match'])}", **r)
     return 0 if r["match"] else 1
 
 
 def cmd_count_1ss(args, emit: Emitter) -> int:
-    ok = True
-    for r in verify.count_1ss(args.n_max):
-        if r["record"] == "survey":
-            emit.line(f"survey aba={r['aba']} aab={r['aab']} "
-                      f"totals={','.join(map(str, r['totals']))} "
-                      f"doubling={'yes' if r['doubling'] else 'no'}", **r)
-            continue
-        ok = ok and r["doubling"] and r["shifted_binomial"]
-        emit.line(
-            f"n={r['n']} total={r['total']} pow2={'PASS' if r['doubling'] else 'FAIL'} "
-            f"row={','.join(map(str, r['by_distinct']))} "
-            f"shifted_binomial={'PASS' if r['shifted_binomial'] else 'FAIL'} "
-            f"unshifted_binomial={'PASS' if r['unshifted_binomial'] else 'FAIL'}", **r)
-    return 0 if ok else 1
+    return render(emit, verify.count_1ss(args.n_max), {
+        "survey": lambda r: f"survey aba={r['aba']} aab={r['aab']} "
+                            f"totals={','.join(map(str, r['totals']))} "
+                            f"doubling={say(r['doubling'], no='no')}",
+        "count": lambda r: f"n={r['n']} total={r['total']} "
+                           f"pow2={say(r['doubling'], 'PASS', 'FAIL')} "
+                           f"row={','.join(map(str, r['by_distinct']))} "
+                           f"shifted_binomial={say(r['shifted_binomial'], 'PASS', 'FAIL')} "
+                           f"unshifted_binomial={say(r['unshifted_binomial'], 'PASS', 'FAIL')}",
+    }, lambda r: r["record"] != "count" or r["doubling"] and r["shifted_binomial"])
 
 
 def cmd_witness(args, emit: Emitter) -> int:
-    ok = False
-    for r in verify.witness(parse_patterns(args.patterns), args.m):
-        if r["record"] == "witness":
-            ok = r["verdict"] == "never-sorts"
-            emit.line(f"case: {r['case']} witness: {r['witness'] or '-'} "
-                      f"verdict: {r['verdict']}", **r)
-        elif r["record"] == "pass":
-            emit.line(f"pass {r['index']}: {r['sequence']}", **r)
-        else:
-            emit.line("cycle: output renames to the input", **r)
-    return 0 if ok else 1
+    return render(emit, verify.witness(parse_patterns(args.patterns), args.m), {
+        "witness": lambda r: f"case: {r['case']} witness: {r['witness'] or '-'} "
+                             f"verdict: {r['verdict']}",
+        "pass": PASS,
+        "cycle": lambda r: "cycle: output renames to the input",
+    }, lambda r: r["record"] != "witness" or r["verdict"] == "never-sorts")
 
 
-# ---------------------------------------------------------------------------
-# verify
+def cmd_bench(args, emit: Emitter) -> int:
+    parts = [part.strip() for part in args.lengths.split(",") if part.strip()]
+    if not parts or not all(part.isdecimal() for part in parts):
+        raise ValueError(f"bad lengths {args.lengths!r}")
+    return render(emit, verify.bench([int(part) for part in parts], args.seed), {
+        "poly": lambda r: f"length={r['length']} {r['map']}: member={say(r['member'], no='no')} "
+                          f"time={r['seconds']:.6f}s",
+        "brute": lambda r: f"length={r['length']} brute: enumerated={r['enumerated']} "
+                           f"agree={say(r['agree'])} time={r['seconds']:.3f}s",
+    }, lambda r: r["record"] != "brute" or r["agree"])
 
 
 def cmd_verify(args, emit: Emitter) -> int:
@@ -221,26 +145,6 @@ def cmd_verify(args, emit: Emitter) -> int:
               record="summary", status=summary, passed=len(results) - failed,
               failed=failed, max_n=args.max_n)
     return 0 if failed == 0 else 1
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args, emit: Emitter) -> int:
-    parts = [part.strip() for part in args.lengths.split(",") if part.strip()]
-    if not parts or not all(part.isdecimal() for part in parts):
-        raise ValueError(f"bad lengths {args.lengths!r}")
-    ok = True
-    for r in verify.bench([int(part) for part in parts], args.seed):
-        if r["record"] == "poly":
-            emit.line(f"length={r['length']} {r['map']}: member="
-                      f"{'yes' if r['member'] else 'no'} time={r['seconds']:.6f}s", **r)
-        else:
-            ok = ok and r["agree"]
-            emit.line(f"length={r['length']} brute: enumerated={r['enumerated']} "
-                      f"agree={'yes' if r['agree'] else 'NO'} time={r['seconds']:.3f}s", **r)
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

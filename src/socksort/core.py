@@ -153,11 +153,17 @@ def parse_sequence(text: str) -> SockSeq:
     return tuple(ord(ch) - ord("a") for ch in text)
 
 
-def format_sequence(p: Iterable[int]) -> str:
-    """Letters when every sock id fits a-z, otherwise comma-separated ints."""
+def letter_form(p: Iterable[int]) -> bool:
+    """True when every sock id fits a-z: the notation of p and its parts."""
+    return all(s < 26 for s in p)
+
+
+def format_sequence(p: Iterable[int], letters: bool | None = None) -> str:
+    """Letters when every sock id fits a-z, otherwise comma-separated ints;
+    letters, when given, is the notation of a whole input p is part of."""
     p = tuple(p)
     if p and min(p) < 0:
         raise ValueError("sock ids must be non-negative")
-    if all(s < 26 for s in p):
+    if letter_form(p) if letters is None else letters:
         return "".join(_LETTERS[s] for s in p)
     return ",".join(str(s) for s in p)

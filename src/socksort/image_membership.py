@@ -21,24 +21,11 @@ occurrence; membership is decided by the final balance.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterable
+from bisect import bisect_right, insort
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .core import SockSeq
-
-__all__ = [
-    "sandwich_decompose",
-    "phi_cons_via_sandwich",
-    "phi_aba_via_decomposition",
-    "Membership",
-    "in_image_cons",
-    "GammaStep",
-    "GammaTrace",
-    "in_image_aba",
-    "gamma_trace",
-]
-
 
 @dataclass(frozen=True)
 class Membership:
@@ -169,6 +156,27 @@ class GammaTrace:
     steps: tuple[GammaStep, ...]
     final_gamma: int
 
+    @property
+    def member(self) -> bool:
+        """in_image_aba's verdict: the final balance is not negative."""
+        return self.final_gamma >= 0
+
+    def rows(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """Change-point rows (position, gamma, dividers): the start, every divider
+        crossing and every run that scores or has length >= 2, after its edits."""
+        layout = list(self.initial_dividers)
+        yield 0, 0, tuple(layout)
+        for st in self.steps:
+            if st.kind == "run":
+                if st.score > 0:
+                    for d in st.dividers:
+                        layout.remove(d)
+                elif st.score == -1:
+                    insort(layout, st.dividers[0])
+                elif st.run_length < 2:
+                    continue
+            yield st.position, st.gamma_after, tuple(layout)
+
 
 def _gamma_scan(p: SockSeq, steps: list | None) -> tuple[list[int], int]:
     """The gamma rules of in_image_aba.
@@ -229,15 +237,16 @@ def in_image_aba(p: Iterable[int]) -> Membership:
     run inside its own block (they occupy one merge slot) and l when the
     run starts its block.  k = -1 charges 1 and plants a new divider at
     the run start, already behind the cursor, so it is never crossed.
-    Membership is final gamma >= 0.  The scan keeps no step records.
+    Membership is final gamma >= 0, as GammaTrace.member says too.  The
+    scan keeps no step records.
     """
     return Membership(_gamma_scan(tuple(p), None)[1] >= 0)
 
 
 def gamma_trace(p: Iterable[int]) -> GammaTrace:
     """The divider/gamma trace that explains in_image_aba's verdict: the
-    same scan, with one step per divider crossing and per run.  p is in
-    the image exactly when final_gamma >= 0."""
+    same scan, with one step per divider crossing and per run, and its
+    member verdict."""
     steps: list[GammaStep] = []
     initial, gamma = _gamma_scan(tuple(p), steps)
     return GammaTrace(tuple(initial), tuple(steps), gamma)

@@ -24,6 +24,12 @@ MAPS: dict[str, PatternSet] = {"cons-aba": CONS_ABA, "aba": CLASSICAL_ABA}  # re
 DEFAULT_MAX_LEN = 10
 
 
+def check_target_length(n: int) -> None:
+    """Raise for a target longer than DEFAULT_MAX_LEN, before it is built."""
+    if n > DEFAULT_MAX_LEN:
+        raise ValueError(f"target length {n} exceeds the bound {DEFAULT_MAX_LEN}")
+
+
 @dataclass(frozen=True)
 class PreimageReport:
     target: SockSeq  # standardized
@@ -96,8 +102,7 @@ def preimages_of(target: Iterable[int], pats: Iterable[Pattern]) -> PreimageRepo
     number of preimages listed."""
     t = standardize(target)
     lister = _classical if _is_classical(pats, "preimages") else _consecutive
-    if len(t) > DEFAULT_MAX_LEN:
-        raise ValueError(f"target length {len(t)} exceeds the bound {DEFAULT_MAX_LEN}")
+    check_target_length(len(t))
     return PreimageReport(t, tuple(sorted(standardize(p) for p in lister(t))))
 
 
@@ -110,8 +115,8 @@ def staircase_target(n: int, k: int) -> SockSeq:
 
 def staircase_preimage_count(n: int, k: int, pats: Iterable[Pattern]) -> int:
     """Preimage count of the staircase target under either aba map."""
-    if n >= 1 and k >= 1 and n + k > DEFAULT_MAX_LEN:  # before building the target
-        raise ValueError(f"target length {n + k} exceeds the bound {DEFAULT_MAX_LEN}")
+    if n >= 1 and k >= 1:
+        check_target_length(n + k)
     return preimages_of(staircase_target(n, k), pats).count
 
 

@@ -1,5 +1,5 @@
 """The derived-value verification suite behind `socksort verify`, and the
-records `bench`, `fertility`, `staircase`, `count-1ss` and `witness` print.
+records every other command prints.
 
 Each check returns a (name, passed, detail) record; `fertility_staircase`,
 `sortable_counts` and `unsortability` judge the commands' own records.
@@ -24,6 +24,7 @@ Result = tuple[str, bool, dict]
 
 BRUTE_HARD_CAP = 12
 POLY_LENGTH_CAP = 10_000
+DIVIDER = "‖"  # double vertical bar
 
 # Mixed pattern sets exercised by the unsortability suite: in each, one
 # shape revisits its first sock after an excursion and the other does not.
@@ -102,9 +103,7 @@ def per_word(max_n: int) -> list[Result]:
 def fertility(m: int, n: int, pats: PatternSet) -> dict:
     """`socksort fertility`'s record: the length-n witness built to have m
     preimages under pats, and its listed preimage count."""
-    if n > preimage_fertility.DEFAULT_MAX_LEN:  # before building the witness
-        raise ValueError(
-            f"target length {n} exceeds the bound {preimage_fertility.DEFAULT_MAX_LEN}")
+    preimage_fertility.check_target_length(n)
     witness = preimage_fertility.fertility_witness(m, n, pats)
     count = preimage_fertility.preimages_of(witness, pats).count
     return {"record": "fertility", "witness": format_sequence(witness), "count": count,
@@ -152,6 +151,81 @@ def witness(pats: PatternSet, m: int) -> Iterator[dict]:
         if core.equivalent(current, seq):
             yield {"record": "cycle", "after": i}
             return
+
+
+def sort(seq: core.SockSeq, pats: PatternSet, k: int, trace: bool) -> Iterator[dict]:
+    """`socksort sort`'s records: per pass, its events when traced and its
+    output when k > 1, `sorted-early` if it sorts before the k-th; the output."""
+    if k < 1:
+        raise ValueError("--k must be at least 1")
+    current = seq
+    for i in range(1, k + 1):
+        if trace:
+            traced = stack_machine.phi_trace(current, pats)
+            for ev in traced.events:
+                yield {"record": "event", "kind": ev.kind, "sock": ev.sock,
+                       "index": ev.index, "pass_index": i}
+            current = traced.output
+        else:
+            current = stack_machine.phi(current, pats)
+        if k > 1:
+            yield {"record": "pass", "index": i, "sequence": format_sequence(current)}
+        if core.is_sorted(current) and i < k:
+            yield {"record": "sorted-early", "passes": i}
+            break
+    yield {"record": "output", "sequence": format_sequence(current),
+           "sorted": core.is_sorted(current)}
+
+
+def render_dividers(seq: core.SockSeq, dividers, letters: bool, mark: int | None = None) -> str:
+    """seq in the given notation with a bar at each divider, optionally
+    marking one position (uppercase in letter form, brackets in integer form)."""
+    text = format_sequence(seq, letters)
+    toks = list(text) if letters else text.split(",")
+    if mark is not None and seq:
+        toks[mark] = toks[mark].upper() if letters else f"[{toks[mark]}]"
+    cuts = [0, *dividers, len(seq)]
+    return DIVIDER.join(("" if letters else ",").join(toks[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
+def image_check(seq: core.SockSeq, name: str, trace: bool, witness: bool) -> Iterator[dict]:
+    """`socksort image-check`'s records under the map called name.  cons-aba:
+    the extracted socks and residual when traced, the verdict, the witness
+    when asked.  aba, from one scan: the dividers, gamma rows when traced, the verdict."""
+    if name == "aba" and witness:
+        raise ValueError("--witness applies to the cons-aba map only")
+    letters = core.letter_form(seq)  # every part is written as the input is
+    if name == "cons-aba":
+        res = image_membership.in_image_cons(seq)
+        if trace:
+            removed, kept = image_membership.sandwich_decompose(seq)
+            yield {"record": "extracted", "socks": [seq[i] for i in removed],
+                   "positions": list(removed)}
+            yield {"record": "residual",
+                   "sequence": format_sequence((seq[i] for i in kept), letters)}
+        yield {"record": "verdict", "member": res.member}
+        if witness:
+            yield {"record": "witness", "sequence":
+                   None if res.witness is None else format_sequence(res.witness, letters)}
+        return
+    gt = image_membership.gamma_trace(seq)
+    yield {"record": "dividers", "positions": list(gt.initial_dividers),
+           "rendered": render_dividers(seq, gt.initial_dividers, letters)}
+    if trace:
+        for pos, gamma, layout in gt.rows():
+            yield {"record": "gamma-row", "position": pos, "gamma": gamma,
+                   "dividers": list(layout),
+                   "rendered": render_dividers(seq, layout, letters, mark=pos)}
+    yield {"record": "verdict", "member": gt.member, "gamma": gt.final_gamma}
+
+
+def preimages(seq: core.SockSeq, pats: PatternSet) -> Iterator[dict]:
+    """`socksort preimages`' records: seq's preimages under pats, then their count."""
+    report = preimage_fertility.preimages_of(seq, pats)
+    for q in report.preimages:
+        yield {"record": "preimage", "sequence": format_sequence(q)}
+    yield {"record": "count", "target": format_sequence(report.target),
+           "count": report.count}
 
 
 def fertility_staircase(max_n: int) -> Result:

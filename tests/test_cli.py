@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import io
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from socksort import (
+    cli,
     core,
     image_membership,
     multipattern,
@@ -117,6 +119,24 @@ def test_image_check_cons_trace_exact_text(capsys):
     ]
 
 
+def test_image_check_cons_trace_keeps_the_input_notation(capsys):
+    # One sock id past z puts both parts in integer form, like the input.
+    code, out = run(capsys, "image-check", "0,30,0", "--map", "cons-aba", "--trace")
+    assert code == 0
+    assert out == "extracted: 30\nresidual: 0,0\nverdict: NON-MEMBER\n"
+    code, out = run(capsys, "image-check", "0,30,0", "--map", "cons-aba", "--trace",
+                    "--format", "json-lines")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"positions": [1], "record": "extracted", "socks": [30]},
+        {"record": "residual", "sequence": "0,0"},
+        {"member": False, "record": "verdict"},
+    ]
+    code, out = run(capsys, "image-check", "1,0,1,30,30", "--map", "cons-aba", "--trace")
+    assert code == 0
+    assert out.splitlines()[:2] == ["extracted: 0", "residual: 1,1,30,30"]
+
+
 def test_image_check_aba_trace_row_for_a_planted_divider(capsys):
     # The last run b scores -1 and plants a divider at its own start.
     code, out = run(capsys, "image-check", "abaccb", "--map", "aba", "--trace")
@@ -129,6 +149,12 @@ def test_image_check_aba_trace_row_for_a_planted_divider(capsys):
         "  abacc‖B  gamma=-1\n"
         "verdict: NON-MEMBER (gamma=-1)\n"
     )
+
+
+def test_image_check_aba_trace_of_the_empty_word(capsys):
+    code, out = run(capsys, "image-check", "", "--map", "aba", "--trace")
+    assert code == 0
+    assert out == "dividers: \n    gamma=0\nverdict: MEMBER (gamma=0)\n"
 
 
 def test_image_check_cons_without_witness_flag(capsys):
@@ -537,6 +563,15 @@ COMMAND_GOLDENS = {
     "count-1ss": ["count-1ss --n-max 8"],
     "fertility": [f"fertility --m {m} --n {n} --map {name}"
                   for m, n in ((3, 5), (9, 10)) for name in ("cons-aba", "aba")],
+    # abaccb's last run plants a divider; abacdca's cons trace has no witness.
+    "image-check": ["image-check bcbabccdd --map aba --trace",
+                    "image-check abaccb --map aba --trace",
+                    "image-check abacdca --map cons-aba --trace --witness",
+                    "image-check abb --map cons-aba --witness"],
+    "preimages": [f"preimages abcc --map {name}" for name in ("cons-aba", "aba")],
+    # A sock past z puts every event and pass of the last run in integer form.
+    "sort": ["sort abab --pattern aba --k 3", "sort aab --pattern ~aba --trace",
+             "sort 0,30,0 --pattern aba --trace --k 2"],
     "staircase": [f"staircase --n {n} --k {n} --map {name}"
                   for n in (2, 5) for name in ("cons-aba", "aba")],
     # aab,abba passes three times without a cycle line; abab is case 1.
@@ -612,6 +647,27 @@ def test_usage_errors(capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n", argv
         assert captured.out == "", argv
+
+
+def test_cli_only_parses_and_renders():
+    # Compute stays in the library: cli.py imports none of these modules and
+    # reads no other module's private names.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None):
+                modules.update(node.module.split("."))
+            for alias in node.names:
+                assert not alias.name.startswith("_"), alias.name
+                modules.update(alias.name.split("."))
+                modules.add(alias.asname or alias.name)
+    assert not modules & {"bisect", "image_membership", "stack_machine"}
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules and node.attr.startswith("_")
+               and not node.attr.startswith("__")]
+    assert private == []
 
 
 # Every subcommand's option strings.  A new flag needs an edit here.
