@@ -5,12 +5,15 @@ Each check returns a (name, passed, detail) record; `fertility_staircase`,
 `sortable_counts` and `unsortability` judge the commands' own records.
 The three per-word checks share one brute-force pass, `outputs`, over
 every canonical word up to the bound; `bench` counts its brute-force hits
-from it too.  Library functions are called through their modules, so a
+from it too.  The pass streams: it keeps no row, only each length's two
+image sets and two accepted sets, and reports their symmetric difference
+in sorted order.  Library functions are called through their modules, so a
 test can replace one and see the matching check fail.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from collections.abc import Iterator
@@ -40,40 +43,51 @@ def outputs(n: int) -> Iterator[tuple[core.SockSeq, ...]]:
 
 def per_word(max_n: int) -> list[Result]:
     """Evaluator identities, image membership and witness validity, in one
-    pass per length over every canonical word up to max_n."""
+    streamed pass per length over every canonical word up to max_n.
+
+    The evaluator and witness checks judge each row as it passes; no row is
+    kept.  A length keeps two sets per map, the standardized outputs (its
+    image) and the words the membership test accepts, and their symmetric
+    difference is reported in word order, then map order, up to five."""
+    sandwich = image_membership.phi_cons_via_sandwich
+    decomposition = image_membership.phi_aba_via_decomposition
+    in_cons, in_aba = image_membership.in_image_cons, image_membership.in_image_aba
+    phi, equivalent = stack_machine.phi, core.equivalent
     per_length: list[int] = []
     bad_evaluator = bad_witness = None
     mismatches: list[dict] = []
-    members = dict.fromkeys(preimage_fertility.MAPS, 0)
+    names = tuple(preimage_fertility.MAPS)
+    members = dict.fromkeys(names, 0)
     witnesses = 0
     for n in range(max_n + 1):
-        rows = list(outputs(n))
-        per_length.append(len(rows))
-        images = [{standardize(row[i]) for row in rows} for i in (1, 2)]
-        for q, out_cons, out_aba in rows:
-            if bad_evaluator is None and (
-                image_membership.phi_cons_via_sandwich(q) != out_cons
-                or image_membership.phi_aba_via_decomposition(q) != out_aba
-            ):
+        images, accepted = (set(), set()), (set(), set())
+        image_cons, image_aba = images[0].add, images[1].add
+        accept_cons, accept_aba = accepted[0].add, accepted[1].add
+        rows = 0
+        for q, out_cons, out_aba in outputs(n):
+            rows += 1
+            if bad_evaluator is None and (sandwich(q) != out_cons or decomposition(q) != out_aba):
                 bad_evaluator = q
-            res_cons = image_membership.in_image_cons(q)
-            verdicts = res_cons.member, image_membership.in_image_aba(q).member
-            for name, got, image in zip(members, verdicts, images):
-                want = q in image
-                if got != want:
-                    if len(mismatches) < 5:
-                        mismatches.append({
-                            "map": name, "sequence": format_sequence(q),
-                            "algorithm": got, "brute": want,
-                        })
-                else:
-                    members[name] += got
-            if res_cons.member and bad_witness is None:
-                out = stack_machine.phi(res_cons.witness, preimage_fertility.CONS_ABA)
-                if core.equivalent(out, q):
-                    witnesses += 1
-                else:
-                    bad_witness = q
+            image_cons(standardize(out_cons))
+            image_aba(standardize(out_aba))
+            res_cons = in_cons(q)
+            if res_cons.member:
+                accept_cons(q)
+                if bad_witness is None:
+                    if equivalent(phi(res_cons.witness, preimage_fertility.CONS_ABA), q):
+                        witnesses += 1
+                    else:
+                        bad_witness = q
+            if in_aba(q).member:
+                accept_aba(q)
+        per_length.append(rows)
+        for name, image, accepts in zip(names, images, accepted):
+            members[name] += len(image & accepts)
+        wrong = ((q, i) for i, (image, accepts) in enumerate(zip(images, accepted))
+                 for q in image ^ accepts)
+        for q, i in heapq.nsmallest(5 - len(mismatches), wrong):
+            mismatches.append({"map": names[i], "sequence": format_sequence(q),
+                               "algorithm": q in accepted[i], "brute": q in images[i]})
 
     if any(size != core.count_standardized(n) for n, size in enumerate(per_length)):
         evaluators = False, {"reason": "enumeration size mismatch", "per_length": per_length}
@@ -308,9 +322,9 @@ def unsortability() -> Result:
 
 
 def run(max_n: int) -> list[Result]:
-    """All six checks, in report order, for max_n from 3 to 9."""
-    if not 3 <= max_n <= 9:
-        raise ValueError("verify supports max_n between 3 and 9")
+    """All six checks, in report order, for max_n from 3 to 11."""
+    if not 3 <= max_n <= 11:
+        raise ValueError("verify supports max_n between 3 and 11")
     return [
         *per_word(max_n),
         fertility_staircase(max_n),

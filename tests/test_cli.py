@@ -313,8 +313,8 @@ def test_verify_bounds(capsys):
     assert run(capsys, "verify", "12")[0] == 2
     assert run(capsys, "verify", "2")[0] == 2
     # Library callers get the same bound.
-    for max_n in (2, 10):
-        with pytest.raises(ValueError, match="verify supports max_n between 3 and 9"):
+    for max_n in (2, 12):
+        with pytest.raises(ValueError, match="verify supports max_n between 3 and 11"):
             verify.run(max_n)
 
 
@@ -398,6 +398,57 @@ def test_verify_per_word_checks_catch_broken_functions(monkeypatch, check):
     assert list(results) == ["evaluator-identities", "image-membership", "witness-validity"]
     assert results.pop(check) == (False, expected)
     assert all(ok for ok, _ in results.values())
+
+
+def _verdict_on(words, member):
+    """Breaks a membership test so that it returns member on each of words."""
+    targets = {core.parse_sequence(w) for w in words}
+
+    def breakage(real):
+        return lambda q: dataclasses.replace(real(q), member=member) if q in targets else real(q)
+    return breakage
+
+
+def test_verify_reports_the_first_five_mismatches_in_word_then_map_order(monkeypatch):
+    # ~aba rejects three of its members, aba accepts four non-members, over
+    # lengths 4 and 5; abba mismatches under both maps.
+    monkeypatch.setattr(image_membership, "in_image_cons", _verdict_on(
+        ("abba", "abcc", "abbaa"), False)(image_membership.in_image_cons))
+    monkeypatch.setattr(image_membership, "in_image_aba", _verdict_on(
+        ("abcb", "abba", "abaaa", "aabab"), True)(image_membership.in_image_aba))
+    results = {name: (ok, detail) for name, ok, detail in verify.per_word(5)}
+    assert results.pop("image-membership") == (False, {"mismatches": [
+        {"map": "cons-aba", "sequence": "abba", "algorithm": False, "brute": True},
+        {"map": "aba", "sequence": "abba", "algorithm": True, "brute": False},
+        {"map": "aba", "sequence": "abcb", "algorithm": True, "brute": False},
+        {"map": "cons-aba", "sequence": "abcc", "algorithm": False, "brute": True},
+        {"map": "aba", "sequence": "aabab", "algorithm": True, "brute": False},
+    ]})
+    assert all(ok for ok, _ in results.values())
+
+
+def test_verify_per_word_consumes_one_row_at_a_time(monkeypatch):
+    # Each row must be judged before the sweep yields the next one.
+    calls = 0
+    real_test, real_outputs = image_membership.in_image_cons, verify.outputs
+
+    def counted(q):
+        nonlocal calls
+        calls += 1
+        return real_test(q)
+
+    def streamed(n):
+        rows = 0
+        start = calls
+        for row in real_outputs(n):
+            assert calls - start == rows, f"row {rows + 1} of length {n} requested early"
+            rows += 1
+            yield row
+
+    monkeypatch.setattr(image_membership, "in_image_cons", counted)
+    monkeypatch.setattr(verify, "outputs", streamed)
+    assert all(ok for _, ok, _ in verify.per_word(6))
+    assert calls == sum(core.count_standardized(n) for n in range(7))
 
 
 def _table_with(**changes):
@@ -626,7 +677,7 @@ USAGE_ERRORS = [
     ("count-1ss --n-max 13", "max_n must be between 1 and 12"),
     ("witness --patterns aba --m 3",
      "pattern shape (0, 1, 0) has the excluded a..aba..a form"),
-    ("verify 10", "verify supports max_n between 3 and 9"),
+    ("verify 12", "verify supports max_n between 3 and 11"),
     ("bench --lengths nope", "bad lengths 'nope'"),
     ("bench --lengths=+-5", "bad lengths '+-5'"),
     ("bench --lengths 0,20000", "lengths above 10000 are out of bounds"),
