@@ -30,10 +30,16 @@ from .core import SockSeq
 @dataclass(frozen=True)
 class Membership:
     """An image test's verdict.  in_image_cons gives a witness preimage
-    with each member; gamma_trace(p) explains in_image_aba's verdict."""
+    with each member; gamma_trace(p) explains in_image_aba's verdict.
+    Verdict-only answers (every in_image_aba answer, and in_image_cons on
+    non-members) are the two shared instances below; being frozen, they
+    are safe to share."""
 
     member: bool
     witness: SockSeq | None = None
+
+
+_MEMBER, _NOT_MEMBER = Membership(True), Membership(False)
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +70,15 @@ def phi_cons_via_sandwich(p: Iterable[int]) -> SockSeq:
     """Evaluate the consecutive-aba map without running the stack."""
     seq = tuple(p)
     removed, kept = sandwich_decompose(seq)
-    return tuple(seq[i] for i in removed) + tuple(seq[i] for i in reversed(kept))
+    return tuple([seq[i] for i in removed] + [seq[i] for i in kept[::-1]])
 
 
 def _last_sandwich(t: SockSeq) -> int:
     """The last sandwiched position of t, 0 when there is none."""
-    return next((i for i in range(len(t) - 2, 0, -1) if t[i - 1] == t[i + 1] != t[i]), 0)
+    for i in range(len(t) - 2, 0, -1):
+        if t[i - 1] == t[i + 1] != t[i]:
+            return i
+    return 0
 
 
 def _takes(right: SockSeq, j: int, sock: int) -> bool:
@@ -102,7 +111,7 @@ def in_image_cons(p: Iterable[int]) -> Membership:
             witness.append(left[k])
             k += 1
         witness.append(right[j])
-    return Membership(False) if k < split else Membership(True, tuple(witness))
+    return _NOT_MEMBER if k < split else Membership(True, tuple(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +219,9 @@ def _gamma_scan(p: SockSeq, steps: list | None) -> tuple[list[int], int]:
             if steps is not None:
                 steps.append(GammaStep("divider", i, gamma))
         last[sock] = j - 1
-        block = len(crossed) + 1
-        prev_block = 0 if prev is None else bisect_right(crossed, prev) + 1
-        cap = j - i if i == start else j - i - 1
-        k = min(cap, block - prev_block - 1)
+        # blocks strictly between the run's block and its sock's previous one
+        between = len(crossed) if prev is None else len(crossed) - bisect_right(crossed, prev) - 1
+        k = min(j - i if i == start else j - i - 1, between)
         gamma += k
         if steps is not None:
             edits = tuple(crossed[-k:]) if k > 0 else (i,) if k == -1 else ()
@@ -240,7 +248,7 @@ def in_image_aba(p: Iterable[int]) -> Membership:
     Membership is final gamma >= 0, as GammaTrace.member says too.  The
     scan keeps no step records.
     """
-    return Membership(_gamma_scan(tuple(p), None)[1] >= 0)
+    return _MEMBER if _gamma_scan(tuple(p), None)[1] >= 0 else _NOT_MEMBER
 
 
 def gamma_trace(p: Iterable[int]) -> GammaTrace:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from itertools import groupby
@@ -16,6 +17,8 @@ from socksort.core import (
 )
 from socksort.image_membership import (
     GammaStep,
+    Membership,
+    _last_sandwich,
     gamma_trace,
     in_image_aba,
     in_image_cons,
@@ -143,6 +146,25 @@ def _check_cons_witness(q):
         assert res.witness is None
 
 
+def _last_sandwich_by_definition(t):
+    return max((i for i in range(1, len(t) - 1) if t[i - 1] == t[i + 1] != t[i]), default=0)
+
+
+def test_last_sandwich_follows_its_definition():
+    # in_image_cons splits at this position and preimage_fertility's
+    # _consecutive starts its split scan there.
+    for n in range(9):
+        for q in enumerate_standardized(n):
+            assert _last_sandwich(q) == _last_sandwich_by_definition(q), q
+    for seed in (1, 2, 3):
+        q = random_standardized(10**4, random.Random(seed))
+        # the kept remainder is sandwich-free, so its answer is 0
+        rest = tuple(q[i] for i in sandwich_decompose(q)[1])
+        for t in (q, rest):
+            assert _last_sandwich(t) == _last_sandwich_by_definition(t), seed
+        assert _last_sandwich(rest) == 0 < _last_sandwich(q), seed
+
+
 def test_in_image_cons_witness_maps_back():
     for n in range(8):
         for q in enumerate_standardized(n):
@@ -227,8 +249,22 @@ def test_in_image_aba_fixed_examples(s, member, gamma, dividers):
 
 
 def test_in_image_aba_verdict_follows_gamma():
-    for q in enumerate_standardized(6):
-        assert in_image_aba(q).member == (gamma_trace(q).final_gamma >= 0)
+    # in_image_aba answers, and in_image_cons non-member answers, carry no
+    # witness; both compare equal to a fresh verdict-only Membership.
+    for n in range(9):
+        for q in enumerate_standardized(n):
+            assert in_image_aba(q) == Membership(gamma_trace(q).member), q
+            res = in_image_cons(q)
+            if not res.member:
+                assert res == Membership(False), q
+
+
+def test_answers_are_frozen():
+    # Verdict-only answers are shared between calls, so none may change.
+    for res in (in_image_aba((0, 1, 0, 1)), in_image_aba((0, 0)),
+                in_image_cons((0, 1, 0)), in_image_cons((0, 0, 1))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.member = not res.member
 
 
 def _div(position, gamma):
