@@ -60,7 +60,8 @@ def count_one_stack_sortable(
     max_n: int, pats: Iterable[Pattern] = ABA_AAB_PINNED
 ) -> CountTable:
     """Brute-force count over all standardized sequences up to max_n; the
-    sweep skips every prefix whose emitted output is already unsorted."""
+    sweep skips every prefix whose own one-pass output is unsorted, since
+    that output is a subsequence of each extension's output."""
     if not 1 <= max_n <= MAX_COUNT_LENGTH:
         raise ValueError(f"max_n must be between 1 and {MAX_COUNT_LENGTH}")
     pats_f = frozenset(pats)
@@ -68,7 +69,7 @@ def count_one_stack_sortable(
     rows: list[tuple[int, ...]] = []
     for n in range(1, max_n + 1):
         row = [0] * n
-        for q, out in sweep(n, (pats_f,), lambda _, emitted: not is_sorted(emitted[0])):
+        for q, out in sweep(n, (pats_f,), lambda _, outputs: not is_sorted(outputs[0])):
             if is_sorted(out):
                 row[len(set(q)) - 1] += 1
         totals.append(sum(row))

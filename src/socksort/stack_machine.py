@@ -83,12 +83,13 @@ def sweep(
     one-pass output under each pattern set.  The map is online, so words that
     share a prefix share its stack and emitted output: each sock is pushed
     once per prefix and its pops are undone on backtrack.  prune(prefix,
-    emitted) sees each shorter prefix and the output emitted so far under
-    each set (lists it must not change); True skips the words extending it."""
+    outputs) sees each shorter prefix (a list it must not change) and its
+    own one-pass output under each set; True skips the words extending it.
+    Stack socks leave top first, so a prefix's output is a subsequence of
+    the output of every word extending it."""
     if n < 0:
         raise ValueError("length must be >= 0")
     machines = [(_prepare(frozenset(pats)), [], []) for pats in pattern_sets]
-    emitted = [out for _, _, out in machines]
     word: list[int] = []
 
     def grow() -> Iterator[tuple[SockSeq, ...]]:
@@ -99,7 +100,9 @@ def sweep(
                 _feed(*m, (v,))
             if len(word) == n:
                 yield tuple(word), *[tuple(out + stack[::-1]) for _, stack, out in machines]
-            elif prune is None or not prune(word, emitted):
+            elif prune is None or not prune(
+                word, [out + stack[::-1] for _, stack, out in machines]
+            ):
                 yield from grow()
             for m in marks:
                 _undo(*m)

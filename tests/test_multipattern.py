@@ -79,6 +79,20 @@ class TestCounts:
         assert table.by_distinct == tuple(rows)
         assert table.totals == tuple(sum(row) for row in rows)
 
+    @pytest.mark.parametrize("text", ["~aba", "aba", "abba,abab", "abca,abac", "abbc"])
+    def test_pruned_count_matches_a_plain_count_beyond_the_survey(self, text):
+        pats = parse_patterns(text)
+        rows = []
+        for n in range(1, 9):
+            row = [0] * n
+            for q in enumerate_standardized(n):
+                if is_sorted(phi(q, pats)):
+                    row[len(set(q)) - 1] += 1
+            rows.append(tuple(row))
+        table = count_one_stack_sortable(8, pats)
+        assert table.by_distinct == tuple(rows)
+        assert table.totals == tuple(sum(row) for row in rows)
+
 
 class TestBuild:
     def test_matches_brute_force(self):

@@ -288,27 +288,37 @@ def test_sweep_prune_skips_subtrees_only():
     assert got == want
 
 
-def _emitted_before_flush(prefix, pats):
-    events = phi_trace(prefix, pats).events
-    last_push = max(i for i, e in enumerate(events) if e.kind == "push")
-    return tuple(e.sock for e in events[:last_push] if e.kind == "pop")
-
-
-def test_sweep_prune_sees_every_prefix_and_its_emitted_output():
+def test_sweep_prune_sees_every_prefix_and_its_one_pass_output():
     sets = [CONS_ABA, CLASSICAL_ABA]
     seen = []
 
-    def record(word, emitted):
-        seen.append((tuple(word), tuple(map(tuple, emitted))))
+    def record(word, outputs):
+        seen.append((tuple(word), tuple(map(tuple, outputs))))
         return False
 
     list(sweep(6, sets, prune=record))
     prefixes = [q for n in range(1, 6) for q in enumerate_standardized(n)]
     assert sorted(word for word, _ in seen) == sorted(prefixes)
-    for word, emitted in seen:
-        assert emitted == tuple(_emitted_before_flush(word, pats) for pats in sets), word
-    # In aba the second a pops b under both maps before it is pushed.
-    assert dict(seen)[(0, 1, 0)] == ((1,), (1,))
+    for word, outputs in seen:
+        assert outputs == tuple(phi(word, pats) for pats in sets), word
+    # In aba the second a pops b under both maps; the flush then adds both a's.
+    assert dict(seen)[(0, 1, 0)] == ((1, 0, 0), (1, 0, 0))
+
+
+def _is_subsequence(small, big):
+    rest = iter(big)
+    return all(x in rest for x in small)
+
+
+@pytest.mark.parametrize("text", [*SWEEP_SETS, "abbc"])
+def test_prefix_output_is_a_subsequence_of_the_word_output(text):
+    # Stack socks leave top first, so the prune in count_one_stack_sortable
+    # may judge a prefix by its own one-pass output.
+    pats = parse_patterns(text)
+    out = {q: phi(q, pats) for n in range(8) for q in enumerate_standardized(n)}
+    for q, q_out in out.items():
+        for k in range(len(q)):
+            assert _is_subsequence(out[q[:k]], q_out), (q, k)
 
 
 def test_sweep_rejects_bad_lengths():
