@@ -20,24 +20,17 @@ from .patterns import parse_patterns
 SEQUENCE_HELP = "letters a-z or comma-separated integers; - reads it from stdin"
 
 
-class Emitter:
-    def __init__(self, fmt: str) -> None:
-        self.json = fmt == "json-lines"
-
-    def line(self, text: str, **record) -> None:
-        print(json.dumps(record, sort_keys=True) if self.json else text)
-
-
 # ---------------------------------------------------------------------------
-# subcommands: each but verify renders the records a verify generator yields
+# subcommands: each renders the records a verify function returns
 
 
-def render(emit: Emitter, records, text: dict, ok=None) -> int:
-    """Print each record as text[its kind] writes it; exit code 1 if ok rejects one."""
+def render(fmt: str, records, text: dict, ok=None) -> int:
+    """Print each record as a json line or as text[its kind] writes it;
+    exit code 1 if ok rejects one."""
     failed = False
     for r in records:
         failed |= ok is not None and not ok(r)
-        emit.line(text[r["record"]](r), **r)
+        print(json.dumps(r, sort_keys=True) if fmt == "json-lines" else text[r["record"]](r))
     return int(failed)
 
 
@@ -52,10 +45,11 @@ def say(flag: bool, yes: str = "yes", no: str = "NO") -> str:
 PASS = "pass {index}: {sequence}".format_map
 
 
-def cmd_sort(args, emit: Emitter) -> int:
+def cmd_sort(args) -> int:
     seq = read_sequence(args.sequence)
     letters = core.letter_form(seq)  # every pass permutes the same socks
-    return render(emit, verify.sort(seq, parse_patterns(args.pattern), args.k, args.trace), {
+    records = verify.sort(seq, parse_patterns(args.pattern), args.k, args.trace)
+    return render(args.format, records, {
         "event": lambda r: f"{r['kind']} {format_sequence((r['sock'],), letters)} "
                            f"({'input' if r['kind'] == 'push' else 'output'} {r['index']})",
         "pass": PASS,
@@ -64,9 +58,9 @@ def cmd_sort(args, emit: Emitter) -> int:
     })
 
 
-def cmd_image_check(args, emit: Emitter) -> int:
+def cmd_image_check(args) -> int:
     seq = read_sequence(args.sequence)
-    return render(emit, verify.image_check(seq, args.map, args.trace, args.witness), {
+    return render(args.format, verify.image_check(seq, args.map, args.trace, args.witness), {
         "extracted": lambda r: "extracted: " + format_sequence(r["socks"], core.letter_form(seq)),
         "residual": "residual: {sequence}".format_map,
         "witness": lambda r: f"witness: {'none' if r['sequence'] is None else r['sequence']}",
@@ -77,28 +71,30 @@ def cmd_image_check(args, emit: Emitter) -> int:
     })
 
 
-def cmd_preimages(args, emit: Emitter) -> int:
+def cmd_preimages(args) -> int:
     seq = parse_sequence(args.sequence)
-    return render(emit, verify.preimages(seq, preimage_fertility.MAPS[args.map]), {
+    return render(args.format, verify.preimages(seq, preimage_fertility.MAPS[args.map]), {
         "preimage": "preimage: {sequence}".format_map, "count": "count: {count}".format_map})
 
 
-def cmd_fertility(args, emit: Emitter) -> int:
-    r = verify.fertility(args.m, args.n, preimage_fertility.MAPS[args.map])
-    emit.line(f"witness: {r['witness']} preimages={r['count']} expected={r['expected']} "
-              f"match={say(r['match'])}", **r)
-    return 0 if r["match"] else 1
+def cmd_fertility(args) -> int:
+    records = [verify.fertility(args.m, args.n, preimage_fertility.MAPS[args.map])]
+    return render(args.format, records, {
+        "fertility": lambda r: f"witness: {r['witness']} preimages={r['count']} "
+                               f"expected={r['expected']} match={say(r['match'])}",
+    }, lambda r: r["match"])
 
 
-def cmd_staircase(args, emit: Emitter) -> int:
-    r = verify.staircase(args.n, args.k, preimage_fertility.MAPS[args.map])
-    emit.line(f"target: {r['target']} preimages={r['count']} formula={r['expected']} "
-              f"match={say(r['match'])}", **r)
-    return 0 if r["match"] else 1
+def cmd_staircase(args) -> int:
+    records = [verify.staircase(args.n, args.k, preimage_fertility.MAPS[args.map])]
+    return render(args.format, records, {
+        "staircase": lambda r: f"target: {r['target']} preimages={r['count']} "
+                               f"formula={r['expected']} match={say(r['match'])}",
+    }, lambda r: r["match"])
 
 
-def cmd_count_1ss(args, emit: Emitter) -> int:
-    return render(emit, verify.count_1ss(args.n_max), {
+def cmd_count_1ss(args) -> int:
+    return render(args.format, verify.count_1ss(args.n_max), {
         "survey": lambda r: f"survey aba={r['aba']} aab={r['aab']} "
                             f"totals={','.join(map(str, r['totals']))} "
                             f"doubling={say(r['doubling'], no='no')}",
@@ -110,8 +106,8 @@ def cmd_count_1ss(args, emit: Emitter) -> int:
     }, lambda r: r["record"] != "count" or r["doubling"] and r["shifted_binomial"])
 
 
-def cmd_witness(args, emit: Emitter) -> int:
-    return render(emit, verify.witness(parse_patterns(args.patterns), args.m), {
+def cmd_witness(args) -> int:
+    return render(args.format, verify.witness(parse_patterns(args.patterns), args.m), {
         "witness": lambda r: f"case: {r['case']} witness: {r['witness'] or '-'} "
                              f"verdict: {r['verdict']}",
         "pass": PASS,
@@ -119,11 +115,11 @@ def cmd_witness(args, emit: Emitter) -> int:
     }, lambda r: r["record"] != "witness" or r["verdict"] == "never-sorts")
 
 
-def cmd_bench(args, emit: Emitter) -> int:
+def cmd_bench(args) -> int:
     parts = [part.strip() for part in args.lengths.split(",") if part.strip()]
     if not parts or not all(part.isdecimal() for part in parts):
         raise ValueError(f"bad lengths {args.lengths!r}")
-    return render(emit, verify.bench([int(part) for part in parts], args.seed), {
+    return render(args.format, verify.bench([int(part) for part in parts], args.seed), {
         "poly": lambda r: f"length={r['length']} {r['map']}: member={say(r['member'], no='no')} "
                           f"time={r['seconds']:.6f}s",
         "brute": lambda r: f"length={r['length']} brute: enumerated={r['enumerated']} "
@@ -131,20 +127,13 @@ def cmd_bench(args, emit: Emitter) -> int:
     }, lambda r: r["record"] != "brute" or r["agree"])
 
 
-def cmd_verify(args, emit: Emitter) -> int:
-    results = verify.run(args.max_n)
-    failed = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        failed += not ok
-        pretty = " ".join(f"{k}={v}" for k, v in detail.items())
-        emit.line(f"{status} {name} {pretty}", record="check", name=name,
-                  status=status, detail=detail)
-    summary = "OK" if failed == 0 else "FAILED"
-    emit.line(f"{summary}: {len(results) - failed}/{len(results)} checks passed",
-              record="summary", status=summary, passed=len(results) - failed,
-              failed=failed, max_n=args.max_n)
-    return 0 if failed == 0 else 1
+def cmd_verify(args) -> int:
+    return render(args.format, verify.run(args.max_n), {
+        "check": lambda r: f"{r['status']} {r['name']} "
+                           + " ".join(f"{k}={v}" for k, v in r["detail"].items()),
+        "summary": lambda r: f"{r['status']}: {r['passed']}/{r['passed'] + r['failed']} "
+                             "checks passed",
+    }, lambda r: r["record"] != "summary" or r["status"] == "OK")
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +206,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    emit = Emitter(args.format)
     try:
-        return args.func(args, emit)
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

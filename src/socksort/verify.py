@@ -1,7 +1,8 @@
 """The derived-value verification suite behind `socksort verify`, and the
 records every other command prints.
 
-Each check returns a (name, passed, detail) record; `fertility_staircase`,
+Each check returns a (name, passed, detail) tuple, which `run` turns into
+a `check` record before its `summary`; `fertility_staircase`,
 `sortable_counts` and `unsortability` judge the commands' own records.
 The three per-word checks share one brute-force pass, `outputs`, over
 every canonical word up to the bound; `bench` counts its brute-force hits
@@ -321,16 +322,19 @@ def unsortability() -> Result:
     return "unsortability", True, {"witnesses": checked}
 
 
-def run(max_n: int) -> list[Result]:
-    """All six checks, in report order, for max_n from 3 to 11."""
+def run(max_n: int) -> list[dict]:
+    """`socksort verify`'s records, for max_n from 3 to 11: the six checks in
+    report order, each PASS or FAIL with its detail; then the summary, OK
+    only if every check passed."""
     if not 3 <= max_n <= 11:
         raise ValueError("verify supports max_n between 3 and 11")
-    return [
-        *per_word(max_n),
-        fertility_staircase(max_n),
-        sortable_counts(max_n),
-        unsortability(),
-    ]
+    results = [*per_word(max_n), fertility_staircase(max_n), sortable_counts(max_n),
+               unsortability()]
+    failed = sum(not ok for _, ok, _ in results)
+    return [*({"record": "check", "name": name, "status": "PASS" if ok else "FAIL",
+               "detail": detail} for name, ok, detail in results),
+            {"record": "summary", "status": "FAILED" if failed else "OK",
+             "passed": len(results) - failed, "failed": failed, "max_n": max_n}]
 
 
 def bench(lengths: list[int], seed: int) -> Iterator[dict]:

@@ -516,7 +516,7 @@ BROKEN_CHECKS = {
 def test_verify_checks_report_their_failure_details(monkeypatch, case):
     module, function, breakage, check, expected = BROKEN_CHECKS[case]
     monkeypatch.setattr(module, function, breakage(getattr(module, function)))
-    results = {name: (ok, detail) for name, ok, detail in verify.run(5)}
+    results = {r["name"]: (r["status"] == "PASS", r["detail"]) for r in verify.run(5)[:-1]}
     assert results.pop(check) == (False, expected)
     assert all(ok for ok, _ in results.values())
 
@@ -576,8 +576,23 @@ def test_commands_exit_1_on_the_mismatch_their_check_reports(monkeypatch, capsys
     code, out = run(capsys, *argv.split())
     assert code == 1
     assert line in out.splitlines()
-    results = {name: (ok, detail) for name, ok, detail in verify.run(5)}
+    results = {r["name"]: (r["status"] == "PASS", r["detail"]) for r in verify.run(5)[:-1]}
     assert results[check] == (False, expected)
+
+
+def test_verify_exits_1_and_reports_the_failing_check(monkeypatch, capsys):
+    module, function, breakage, *_ = BROKEN_CHECKS["fertility"]
+    monkeypatch.setattr(module, function, breakage(getattr(module, function)))
+    code, out = run(capsys, "verify", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL fertility-staircase witness=abb count=2 expected=1" in lines
+    assert lines[-1] == "FAILED: 5/6 checks passed"
+    code, out = run(capsys, "verify", "5", "--format", "json-lines")
+    assert code == 1
+    summary = json.loads(out.splitlines()[-1])
+    assert summary == {"record": "summary", "status": "FAILED", "passed": 5, "failed": 1,
+                       "max_n": 5}
 
 
 def test_bench_small(capsys):
@@ -625,6 +640,7 @@ COMMAND_GOLDENS = {
              "sort 0,30,0 --pattern aba --trace --k 2"],
     "staircase": [f"staircase --n {n} --k {n} --map {name}"
                   for n in (2, 5) for name in ("cons-aba", "aba")],
+    "verify": ["verify 5"],
     # aab,abba passes three times without a cycle line; abab is case 1.
     "witness": ["witness --patterns abba,abab --m 4", "witness --patterns abca,abac --m 3",
                 "witness --patterns aab,abba --m 3", "witness --patterns abab --m 3"],
@@ -713,13 +729,27 @@ def test_cli_only_parses_and_renders():
                 assert not alias.name.startswith("_"), alias.name
                 modules.update(alias.name.split("."))
                 modules.add(alias.asname or alias.name)
-    assert not modules & {"bisect", "image_membership", "stack_machine"}
+    assert not modules & {"bisect", "image_membership", "multipattern", "random",
+                          "stack_machine", "time"}
     private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                and node.value.id in modules and node.attr.startswith("_")
                and not node.attr.startswith("__")]
     assert private == []
-
+    # Every command returns a render(...) call, and only render prints to stdout.
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = [func for name, func in functions.items() if name.startswith("cmd_")]
+    assert len(commands) == len(OPTIONS)
+    for func in commands:
+        assert isinstance(func.body[-1], ast.Return), func.name
+        for node in ast.walk(func):
+            if isinstance(node, ast.Return):
+                assert isinstance(node.value, ast.Call), func.name
+                assert ast.unparse(node.value.func) == "render", func.name
+    for name, func in functions.items():
+        prints = [ast.unparse(node) for node in ast.walk(func) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "print"]
+        assert name == "render" or all("file=sys.stderr" in p for p in prints), name
 
 # Every subcommand's option strings.  A new flag needs an edit here.
 OPTIONS = {
