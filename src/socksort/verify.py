@@ -6,10 +6,13 @@ a `check` record before its `summary`; `fertility_staircase`,
 `sortable_counts` and `unsortability` judge the commands' own records.
 The three per-word checks share one brute-force pass, `outputs`, over
 every canonical word up to the bound; `bench` counts its brute-force hits
-from it too.  The pass streams: it keeps no row, only each length's two
-image sets and two accepted sets, and reports their symmetric difference
-in sorted order.  Library functions are called through their modules, so a
-test can replace one and see the matching check fail.
+from it too.  The pass reads each length's rows in fixed batches and
+judges a batch column by column, mapping each library call over a column
+of words or outputs.  It keeps no word beyond one batch, only each
+length's two image sets and two accepted sets, and reports their symmetric
+difference in sorted order.  Library functions are looked up through their
+modules at call time, so a test can replace one and see the matching check
+fail.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import heapq
 import random
 import time
 from collections.abc import Iterator
+from itertools import compress, islice, repeat
 from math import comb
+from operator import attrgetter, ne, not_, or_
 
 from . import core, image_membership, multipattern, preimage_fertility, stack_machine
 from .core import format_sequence, parse_sequence, standardize
@@ -29,6 +34,7 @@ Result = tuple[str, bool, dict]
 BRUTE_HARD_CAP = 12
 POLY_LENGTH_CAP = 10_000
 DIVIDER = "‖"  # double vertical bar
+_BATCH_ROWS = 256  # rows per_word reads from a length's sweep and judges together
 
 # Mixed pattern sets exercised by the unsortability suite: in each, one
 # shape revisits its first sock after an excursion and the other does not.
@@ -46,14 +52,19 @@ def per_word(max_n: int) -> list[Result]:
     """Evaluator identities, image membership and witness validity, in one
     streamed pass per length over every canonical word up to max_n.
 
-    The evaluator and witness checks judge each row as it passes; no row is
-    kept.  A length keeps two sets per map, the standardized outputs (its
-    image) and the words the membership test accepts, and their symmetric
-    difference is reported in word order, then map order, up to five."""
+    Each length's rows are read in batches of _BATCH_ROWS and a batch is
+    judged column by column: each library call is mapped over its words or
+    outputs, and the evaluator and witness checks take the batch's first
+    failing word, so the first in word order is the one reported.  No word
+    is kept beyond its batch.  A length keeps two sets per map, the
+    standardized outputs (its image) and the words the membership test
+    accepts, and their symmetric difference is reported in word order, then
+    map order, up to five."""
     sandwich = image_membership.phi_cons_via_sandwich
     decomposition = image_membership.phi_aba_via_decomposition
     in_cons, in_aba = image_membership.in_image_cons, image_membership.in_image_aba
-    phi, equivalent = stack_machine.phi, core.equivalent
+    phi, equivalent, cons = stack_machine.phi, core.equivalent, preimage_fertility.CONS_ABA
+    member, witness_of = attrgetter("member"), attrgetter("witness")
     per_length: list[int] = []
     bad_evaluator = bad_witness = None
     mismatches: list[dict] = []
@@ -62,26 +73,27 @@ def per_word(max_n: int) -> list[Result]:
     witnesses = 0
     for n in range(max_n + 1):
         images, accepted = (set(), set()), (set(), set())
-        image_cons, image_aba = images[0].add, images[1].add
-        accept_cons, accept_aba = accepted[0].add, accepted[1].add
-        rows = 0
-        for q, out_cons, out_aba in outputs(n):
-            rows += 1
-            if bad_evaluator is None and (sandwich(q) != out_cons or decomposition(q) != out_aba):
-                bad_evaluator = q
-            image_cons(standardize(out_cons))
-            image_aba(standardize(out_aba))
-            res_cons = in_cons(q)
-            if res_cons.member:
-                accept_cons(q)
-                if bad_witness is None:
-                    if equivalent(phi(res_cons.witness, preimage_fertility.CONS_ABA), q):
-                        witnesses += 1
-                    else:
-                        bad_witness = q
-            if in_aba(q).member:
-                accept_aba(q)
-        per_length.append(rows)
+        rows, size = outputs(n), 0
+        while batch := list(islice(rows, _BATCH_ROWS)):
+            words, outs_cons, outs_aba = zip(*batch)
+            size += len(words)
+            if bad_evaluator is None:
+                differs = map(or_, map(ne, map(sandwich, words), outs_cons),
+                              map(ne, map(decomposition, words), outs_aba))
+                bad_evaluator = next(compress(words, differs), None)
+            images[0].update(map(standardize, outs_cons))
+            images[1].update(map(standardize, outs_aba))
+            verdicts = list(map(in_cons, words))
+            flags = list(map(member, verdicts))
+            hits = list(compress(words, flags))
+            accepted[0].update(hits)
+            if bad_witness is None:
+                held = map(equivalent, map(phi, map(witness_of, compress(verdicts, flags)),
+                                           repeat(cons)), hits)
+                bad_witness = next(compress(hits, map(not_, held)), None)
+                witnesses += len(hits) if bad_witness is None else hits.index(bad_witness)
+            accepted[1].update(compress(words, map(member, map(in_aba, words))))
+        per_length.append(size)
         for name, image, accepts in zip(names, images, accepted):
             members[name] += len(image & accepts)
         wrong = ((q, i) for i, (image, accepts) in enumerate(zip(images, accepted))

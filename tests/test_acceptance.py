@@ -13,10 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from socksort import stack_machine
 from socksort.cli import main
 from socksort.core import (
     count_standardized,
     enumerate_standardized,
+    is_sorted,
     standardize,
 )
 from socksort.image_membership import (
@@ -40,7 +42,6 @@ from socksort.preimage_fertility import (
 )
 from socksort.stack_machine import (
     IterationOutcome,
-    is_one_stack_sortable,
     phi,
     phi_iterate,
 )
@@ -205,9 +206,7 @@ def test_c07_sortable_counts_double_and_follow_the_triangle():
     for n in range(11):
         built = build_one_stack_sortable(n)
         brute = tuple(
-            q
-            for q in enumerate_standardized(n)
-            if is_one_stack_sortable(q, ABA_AAB_PINNED)
+            q for q, out in stack_machine.sweep(n, [ABA_AAB_PINNED]) if is_sorted(out)
         )
         assert built == brute, f"construction deviates from brute force at n={n}"
 

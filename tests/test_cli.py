@@ -427,9 +427,11 @@ def test_verify_reports_the_first_five_mismatches_in_word_then_map_order(monkeyp
     assert all(ok for ok, _ in results.values())
 
 
-def test_verify_per_word_consumes_one_row_at_a_time(monkeypatch):
-    # Each row must be judged before the sweep yields the next one.
+def test_verify_per_word_holds_at_most_one_batch(monkeypatch):
+    # A batch is judged before the next one is requested, so no length is
+    # held whole; length 8 has 4,140 rows, so its batches are really cut.
     calls = 0
+    lookahead = []
     real_test, real_outputs = image_membership.in_image_cons, verify.outputs
 
     def counted(q):
@@ -438,17 +440,60 @@ def test_verify_per_word_consumes_one_row_at_a_time(monkeypatch):
         return real_test(q)
 
     def streamed(n):
-        rows = 0
         start = calls
-        for row in real_outputs(n):
-            assert calls - start == rows, f"row {rows + 1} of length {n} requested early"
-            rows += 1
+        for requested, row in enumerate(real_outputs(n), 1):
+            lookahead.append(requested - (calls - start))
             yield row
 
     monkeypatch.setattr(image_membership, "in_image_cons", counted)
     monkeypatch.setattr(verify, "outputs", streamed)
-    assert all(ok for _, ok, _ in verify.per_word(6))
-    assert calls == sum(core.count_standardized(n) for n in range(7))
+    assert all(ok for _, ok, _ in verify.per_word(8))
+    assert calls == sum(core.count_standardized(n) for n in range(9))
+    assert max(lookahead) == verify._BATCH_ROWS < core.count_standardized(8)
+
+
+def _wrong_output_on(words):
+    def breakage(real):
+        return lambda q: real(q) + (0,) if q in words else real(q)
+    return breakage
+
+
+# The 7th and 9th canonical words of length 5: one batch by default, but
+# batches 6 and 8, 3 and 4, or 0 and 1 at 1, 2 or 7 rows a batch.
+SPLIT_WORDS = tuple(enumerate_standardized(5))[6:9:2]
+
+# The functions each case breaks, and how: BROKEN_PER_WORD's three cases,
+# the first-five-mismatches test's, and a wrong evaluator on SPLIT_WORDS.
+BATCH_CASES = {
+    **{check: [(function, breakage)]
+       for check, (function, breakage, _) in BROKEN_PER_WORD.items()},
+    "first-five-mismatches": [
+        ("in_image_cons", _verdict_on(("abba", "abcc", "abbaa"), False)),
+        ("in_image_aba", _verdict_on(("abcb", "abba", "abaaa", "aabab"), True)),
+    ],
+    "split-evaluator": [("phi_aba_via_decomposition", _wrong_output_on(SPLIT_WORDS))],
+}
+
+
+def test_verify_reports_the_earlier_of_two_bad_evaluator_words(monkeypatch):
+    (function, breakage), = BATCH_CASES["split-evaluator"]
+    monkeypatch.setattr(image_membership, function, breakage(getattr(image_membership, function)))
+    results = verify.per_word(5)
+    assert results[0] == ("evaluator-identities", False,
+                          {"sequence": core.format_sequence(SPLIT_WORDS[0])})
+    assert all(ok for _, ok, _ in results[1:])
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_verify_per_word_does_not_depend_on_the_batch_size(monkeypatch, case):
+    for function, breakage in BATCH_CASES[case]:
+        monkeypatch.setattr(image_membership, function,
+                            breakage(getattr(image_membership, function)))
+    default = verify.per_word(5)
+    assert not all(ok for _, ok, _ in default)
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(verify, "_BATCH_ROWS", rows)
+        assert verify.per_word(5) == default, f"{rows} rows a batch"
 
 
 def _table_with(**changes):
