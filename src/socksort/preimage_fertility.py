@@ -52,30 +52,27 @@ def _is_classical(pats: Iterable[Pattern], what: str) -> bool:
 def _classical(q: SockSeq) -> list[SockSeq]:
     """Every p with phi(p) == q under classical aba: the identity
     phi(x^b0 s_1 x^b1 ... s_r x^br) = phi(s_1) ... phi(s_r) x^m of
-    phi_aba_via_decomposition, read backwards.  x is q's last sock, m its
-    trailing run's length, and x may not occur before that run.  Read copy
-    by copy, p is the m copies of x, each followed by either nothing or a
-    preimage of the next part of the x-free rest, the parts covering that
-    rest in order."""
+    phi_aba_via_decomposition, read backwards, one interval of q at a time.
+    For q[i:j], x is its last sock, q[k:j] its trailing run of m copies, and
+    x may not occur in q[i:k].  A preimage is the first x, then a preimage
+    of a first part q[i:b] (empty when b == i), then a preimage of
+    q[b:j-1], whose m-1 copies of x host the rest; with m == 1 there is no
+    such copy, so b == k.  The second x sits at 1 + (b - i), so each
+    preimage is listed once."""
 
     @cache
     def lister(i: int, j: int) -> list[SockSeq]:  # the preimages of q[i:j]
-        x, k = q[j - 1], j
+        if i == j:
+            return [()]
+        x, k = q[j - 1], j - 1
         while k > i and q[k - 1] == x:
             k -= 1
-        return [] if x in q[i:k] else tails(i, k, j - k)
+        if x in q[i:k]:
+            return []
+        return [(x, *seg, *rest) for b in range(i if j - k > 1 else k, k + 1)
+                for seg in lister(i, b) for rest in lister(b, j - 1)]
 
-    @cache
-    def tails(a: int, k: int, c: int) -> list[SockSeq]:  # c copies of x = q[k] hosting q[a:k]
-        if c == 0:
-            return [()] if a == k else []
-        x = q[k]
-        found = [(x, *rest) for rest in tails(a, k, c - 1)]
-        for b in range(a + 1, k + 1):
-            found += [(x, *seg, *rest) for seg in lister(a, b) for rest in tails(b, k, c - 1)]
-        return found
-
-    return lister(0, len(q)) if q else [()]
+    return lister(0, len(q))
 
 
 def _consecutive(t: SockSeq) -> list[SockSeq]:

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from functools import cache
 from itertools import groupby
 
 import pytest
@@ -316,6 +317,55 @@ def test_in_image_aba_block_start_runs():
     # runs; these two length-9 sequences only pass with that rule.
     for s in ("abaccbadd", "abaccbcdd"):
         assert in_image_aba(parse_sequence(s)).member, s
+
+
+def _in_classical_image_by_intervals(q):
+    """Membership under classical aba from phi(x^b0 s_1 ... s_r x^br) =
+    phi(s_1) ... phi(s_r) x^m read backwards: q[i:j] is an image when its
+    last sock x does not occur before its trailing run q[k:j] and, for some
+    b, both q[i:b] and q[b:j-1] are (b == k when the run is one sock)."""
+
+    @cache
+    def image(i, j):
+        if i == j:
+            return True
+        x, k = q[j - 1], j - 1
+        while k > i and q[k - 1] == x:
+            k -= 1
+        return x not in q[i:k] and any(image(i, b) and image(b, j - 1)
+                                       for b in range(i if j - k > 1 else k, k + 1))
+
+    return image(0, len(q))
+
+
+def _near_classical_image(rng):
+    """The image of a random word of length 20..150, with 1-3 random
+    adjacent swaps or re-socks.  Lengths lean short: the referee's cost
+    grows about as the cube of the length, while faults in the refund
+    rules showed no less often on short words than on long ones."""
+    n = 20 + int(131 * rng.random() ** 3)
+    q = list(standardize(phi_aba_via_decomposition(random_standardized(n, rng))))
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(q) - 1)
+        if rng.random() < 0.5:
+            q[i], q[i + 1] = q[i + 1], q[i]
+        else:
+            q[i] = rng.randint(0, max(q) + 1)
+    return standardize(q)
+
+
+def test_in_image_aba_matches_the_interval_recursion_near_the_image():
+    # A referee for non-member verdicts past brute-force lengths: words
+    # next to the image exercise the gamma refunds far more than uniform
+    # random words, almost none of which are members.  Lengths stay at
+    # most 150, inside Python's default recursion limit.
+    rng = random.Random(16)
+    words = [_near_classical_image(rng) for _ in range(1500)]
+    verdicts = [_in_classical_image_by_intervals(q) for q in words]
+    failing = [q for q, member in zip(words, verdicts) if in_image_aba(q).member != member]
+    assert not failing, (f"{len(failing)} mismatches, shortest: "
+                         f"{format_sequence(min(failing, key=len))}")
+    assert 0 < sum(verdicts) < len(words)
 
 
 def _check_gamma_bookkeeping(q):
