@@ -655,7 +655,11 @@ def test_bench_rejects_huge_lengths(capsys):
 BENCH_GOLDEN_ARGV = ("bench", "--lengths", "0,1,6,9,100", "--seed", "5")
 
 
-def test_bench_matches_its_goldens_but_for_timings(capsys):
+# bench's brute force reads each length's sweep in batches, so its goldens
+# hold at any batch size, one row a batch included.
+@pytest.mark.parametrize("rows", [verify._BATCH_ROWS, 1, 7])
+def test_bench_matches_its_goldens_but_for_timings(monkeypatch, capsys, rows):
+    monkeypatch.setattr(verify, "_BATCH_ROWS", rows)
     code, out = run(capsys, *BENCH_GOLDEN_ARGV, "--format", "json-lines")
     assert code == 0
     untimed = [
