@@ -13,9 +13,10 @@ part, taken right to left, one sock per pair, each pair taking the socks
 that _takes allows.  One greedy pass decides this and builds the witness,
 so the test is linear.
 
-Classical aba: the image test scans maximal runs against a set of
-dividers, with one bisect per run.  Dividers are charged when crossed
-and refunded by long runs that sit far from the sock's previous
+Classical aba: the image test rejects a word whose last sock occurs
+before its trailing run, and scans any other word's maximal runs against
+a set of dividers, with one bisect per run.  Dividers are charged when
+crossed and refunded by long runs that sit far from the sock's previous
 occurrence; membership is decided by the final balance.
 """
 
@@ -67,10 +68,17 @@ def sandwich_decompose(p: SockSeq) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def phi_cons_via_sandwich(p: Iterable[int]) -> SockSeq:
-    """Evaluate the consecutive-aba map without running the stack."""
-    seq = tuple(p)
-    removed, kept = sandwich_decompose(seq)
-    return tuple([seq[i] for i in removed] + [seq[i] for i in kept[::-1]])
+    """Evaluate the consecutive-aba map without running the stack: the
+    pass of sandwich_decompose over socks rather than positions, emitting
+    each sandwiched sock as it is popped, then the kept socks reversed."""
+    kept: list[int] = []
+    out: list[int] = []
+    for sock in p:
+        if len(kept) >= 2 and kept[-2] == sock != kept[-1]:
+            out.append(kept.pop())
+        kept.append(sock)
+    out.extend(reversed(kept))
+    return tuple(out)
 
 
 def _last_sandwich(t: SockSeq) -> int:
@@ -247,8 +255,15 @@ def in_image_aba(p: Iterable[int]) -> Membership:
     the run start, already behind the cursor, so it is never crossed.
     Membership is final gamma >= 0, as GammaTrace.member says too.  The
     scan keeps no step records.
+
+    Before the scan, a word whose last sock occurs before its trailing run
+    is rejected: by the decomposition, phi(p) = phi(s_1) ... phi(s_r) x^m
+    ends in every copy of its last sock x.  gamma_trace always scans.
     """
-    return _MEMBER if _gamma_scan(tuple(p), None)[1] >= 0 else _NOT_MEMBER
+    seq = tuple(p)
+    if seq and seq.count(seq[-1]) != len(seq) - seq.index(seq[-1]):
+        return _NOT_MEMBER
+    return _MEMBER if _gamma_scan(seq, None)[1] >= 0 else _NOT_MEMBER
 
 
 def gamma_trace(p: Iterable[int]) -> GammaTrace:

@@ -26,7 +26,7 @@ from math import comb
 from operator import attrgetter, ne, not_, or_
 
 from . import core, image_membership, multipattern, preimage_fertility, stack_machine
-from .core import format_sequence, parse_sequence, standardize
+from .core import format_sequence, parse_sequence
 from .patterns import PatternSet, parse_patterns
 
 Result = tuple[str, bool, dict]
@@ -59,7 +59,8 @@ def per_word(max_n: int) -> list[Result]:
     is kept beyond its batch.  A length keeps two sets per map, the
     standardized outputs (its image) and the words the membership test
     accepts, and their symmetric difference is reported in word order, then
-    map order, up to five."""
+    map order, up to five.  Each distinct output of a batch is standardized
+    once."""
     sandwich = image_membership.phi_cons_via_sandwich
     decomposition = image_membership.phi_aba_via_decomposition
     in_cons, in_aba = image_membership.in_image_cons, image_membership.in_image_aba
@@ -81,8 +82,8 @@ def per_word(max_n: int) -> list[Result]:
                 differs = map(or_, map(ne, map(sandwich, words), outs_cons),
                               map(ne, map(decomposition, words), outs_aba))
                 bad_evaluator = next(compress(words, differs), None)
-            images[0].update(map(standardize, outs_cons))
-            images[1].update(map(standardize, outs_aba))
+            images[0].update(map(core.standardize, set(outs_cons)))
+            images[1].update(map(core.standardize, set(outs_aba)))
             verdicts = list(map(in_cons, words))
             flags = list(map(member, verdicts))
             hits = list(compress(words, flags))
@@ -303,7 +304,7 @@ def sortable_counts(max_n: int) -> Result:
         built = multipattern.build_one_stack_sortable(n)
         sound = all(
             len(q) == n
-            and q == standardize(q)
+            and q == core.standardize(q)
             and stack_machine.is_one_stack_sortable(q, multipattern.ABA_AAB_PINNED)
             for q in built
         )

@@ -400,6 +400,21 @@ def test_verify_per_word_checks_catch_broken_functions(monkeypatch, check):
     assert all(ok for ok, _ in results.values())
 
 
+def test_verify_per_word_standardizes_through_core(monkeypatch):
+    # Left as it is, ab's one output under both maps, ba, enters the image
+    # in place of ab.
+    real = core.standardize
+    monkeypatch.setattr(core, "standardize", lambda p: p if p == (1, 0) else real(p))
+    results = {name: (ok, detail) for name, ok, detail in verify.per_word(5)}
+    assert results.pop("image-membership") == (False, {"mismatches": [
+        {"map": "cons-aba", "sequence": "ab", "algorithm": True, "brute": False},
+        {"map": "aba", "sequence": "ab", "algorithm": True, "brute": False},
+        {"map": "cons-aba", "sequence": "ba", "algorithm": False, "brute": True},
+        {"map": "aba", "sequence": "ba", "algorithm": False, "brute": True},
+    ]})
+    assert all(ok for ok, _ in results.values())
+
+
 def _verdict_on(words, member):
     """Breaks a membership test so that it returns member on each of words."""
     targets = {core.parse_sequence(w) for w in words}

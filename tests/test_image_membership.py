@@ -30,6 +30,7 @@ from socksort.image_membership import (
 from socksort.patterns import ABA_CLASSICAL, ABA_CONSECUTIVE
 from socksort.preimage_fertility import preimages_of
 from socksort.stack_machine import phi
+from test_linearity import FAMILIES
 
 CONS_ABA = frozenset({ABA_CONSECUTIVE})
 CLASSICAL_ABA = frozenset({ABA_CLASSICAL})
@@ -98,6 +99,23 @@ def test_evaluators_match_stack_machine(n):
 def test_evaluators_match_on_random_sequences(q):
     assert phi_cons_via_sandwich(q) == phi(q, CONS_ABA)
     assert phi_aba_via_decomposition(q) == phi(q, CLASSICAL_ABA)
+
+
+def _sandwich_output(p):
+    removed, kept = sandwich_decompose(p)
+    return tuple([p[i] for i in removed] + [p[i] for i in reversed(kept)])
+
+
+def test_sandwich_evaluator_reads_the_decomposition():
+    # The evaluator's pass over socks and sandwich_decompose's pass over
+    # positions are written apart; the map's output is the removed socks,
+    # then the kept ones reversed.
+    for n in range(9):
+        for q in enumerate_standardized(n):
+            assert phi_cons_via_sandwich(q) == _sandwich_output(q), q
+    for family, make in sorted(FAMILIES.items()):
+        q = make(10_000)
+        assert phi_cons_via_sandwich(q) == _sandwich_output(q), family
 
 
 @pytest.mark.parametrize(
@@ -359,13 +377,48 @@ def test_in_image_aba_matches_the_interval_recursion_near_the_image():
     # next to the image exercise the gamma refunds far more than uniform
     # random words, almost none of which are members.  Lengths stay at
     # most 150, inside Python's default recursion limit.
+    # gamma_trace is judged too: in_image_aba answers many of these words
+    # by their trailing run alone, and gamma_trace always runs the scan.
     rng = random.Random(16)
     words = [_near_classical_image(rng) for _ in range(1500)]
     verdicts = [_in_classical_image_by_intervals(q) for q in words]
-    failing = [q for q, member in zip(words, verdicts) if in_image_aba(q).member != member]
-    assert not failing, (f"{len(failing)} mismatches, shortest: "
-                         f"{format_sequence(min(failing, key=len))}")
+    for name, test in (("in_image_aba", in_image_aba), ("gamma_trace", gamma_trace)):
+        failing = [q for q, member in zip(words, verdicts) if test(q).member != member]
+        assert not failing, (f"{name}: {len(failing)} mismatches, shortest: "
+                             f"{format_sequence(min(failing, key=len))}")
     assert 0 < sum(verdicts) < len(words)
+
+
+def _last_sock_before_its_run(q):
+    """The trailing-run cut of in_image_aba: q's last sock occurs before
+    its trailing run."""
+    return bool(q) and q.count(q[-1]) != len(q) - q.index(q[-1])
+
+
+def _last_sock_copied_earlier(rng):
+    """The image of a random word of length 1000..10000 with one more copy
+    of its last sock set before its trailing run."""
+    q = list(standardize(phi_aba_via_decomposition(random_standardized(rng.randint(1000, 10_000), rng))))
+    x, k = q[-1], len(q) - 1
+    while k > 0 and q[k - 1] == x:
+        k -= 1
+    q.insert(rng.randrange(k), x)
+    return standardize(q)
+
+
+def test_the_trailing_run_cut_rejects_only_non_members():
+    # Every word the cut answers, the full scan rejects too: all canonical
+    # words up to length 9, and seeded long words, uniform and next to
+    # the image.
+    cut = [q for n in range(10) for q in enumerate_standardized(n) if _last_sock_before_its_run(q)]
+    assert len(cut) == 19_595
+    rng = random.Random(31)
+    uniform = (random_standardized(rng.randint(1000, 10_000), rng) for _ in range(10))
+    long_words = [q for q in uniform if _last_sock_before_its_run(q)]
+    long_words += [_last_sock_copied_earlier(rng) for _ in range(10)]
+    assert len(long_words) > 15 and all(map(_last_sock_before_its_run, long_words))
+    for q in cut + long_words:
+        assert not gamma_trace(q).member, format_sequence(q)
 
 
 def _check_gamma_bookkeeping(q):
