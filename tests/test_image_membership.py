@@ -398,7 +398,8 @@ def _last_sock_before_its_run(q):
 def _last_sock_copied_earlier(rng):
     """The image of a random word of length 1000..10000 with one more copy
     of its last sock set before its trailing run."""
-    q = list(standardize(phi_aba_via_decomposition(random_standardized(rng.randint(1000, 10_000), rng))))
+    p = random_standardized(rng.randint(1000, 10_000), rng)
+    q = list(standardize(phi_aba_via_decomposition(p)))
     x, k = q[-1], len(q) - 1
     while k > 0 and q[k - 1] == x:
         k -= 1
@@ -413,10 +414,9 @@ def test_the_trailing_run_cut_rejects_only_non_members():
     cut = [q for n in range(10) for q in enumerate_standardized(n) if _last_sock_before_its_run(q)]
     assert len(cut) == 19_595
     rng = random.Random(31)
-    uniform = (random_standardized(rng.randint(1000, 10_000), rng) for _ in range(10))
-    long_words = [q for q in uniform if _last_sock_before_its_run(q)]
+    long_words = [random_standardized(rng.randint(1000, 10_000), rng) for _ in range(10)]
     long_words += [_last_sock_copied_earlier(rng) for _ in range(10)]
-    assert len(long_words) > 15 and all(map(_last_sock_before_its_run, long_words))
+    assert all(map(_last_sock_before_its_run, long_words))
     for q in cut + long_words:
         assert not gamma_trace(q).member, format_sequence(q)
 
