@@ -7,11 +7,11 @@ neighbours hold the same sock and it holds a different one.  One pass of
 the map first emits the sandwiched socks (removing one never creates a
 new sandwich to its left, so removal order is position order) and then
 the reversal of the sandwich-free remainder.  A sequence p is in the
-image exactly when, splitting p at its last sandwiched position, the
-left part can be placed in order into adjacent equal pairs of the right
-part, taken right to left, one sock per pair, each pair taking the socks
-that _takes allows.  One greedy pass decides this and builds the witness,
-so the test is linear.
+image exactly when, with s its last sandwiched position, the prefix
+p[:s] can be placed in order into the adjacent equal pairs p[i] == p[i+1]
+with i >= s, taken right to left, one sock per pair, each pair taking the
+socks that _takes allows.  One greedy pass decides this and builds the
+witness, so the test is linear.
 
 Classical aba: the image test rejects a word whose last sock occurs
 before its trailing run, and scans any other word's maximal runs against
@@ -89,36 +89,34 @@ def _last_sandwich(t: SockSeq) -> int:
     return 0
 
 
-def _takes(right: SockSeq, j: int, sock: int) -> bool:
-    """The pair rule: the adjacent equal pair at j of a split's right part
-    takes sock unless sock equals right[j], and would not be sandwiched, or
-    right[j+2], and would sandwich right[j+1], extracting it too early."""
-    return sock != right[j] and (j + 2 == len(right) or sock != right[j + 2])
+def _takes(t: SockSeq, i: int, sock: int) -> bool:
+    """The pair rule: the adjacent equal pair at i of t, right of the split,
+    takes sock unless sock equals t[i], and would not be sandwiched, or
+    t[i+2], and would sandwich t[i+1], extracting it too early.  It reads
+    t at target positions only, so it does not depend on the split."""
+    return sock != t[i] and (i + 2 == len(t) or sock != t[i + 2])
 
 
 def in_image_cons(p: Iterable[int]) -> Membership:
     """Is p the output of one consecutive-aba pass?  Returns a witness
     preimage when it is.
 
-    Only the minimal split (_last_sandwich) needs checking: moving it left
-    is impossible, and any assignment that works for a longer
-    sandwich-free tail also works for the longest.  Each left sock, in
-    order, takes the first pair of the right part, scanning right to left,
-    that _takes it.  The witness is the reversed right part with each sock
-    set just before the right[j] of its pair, so one right-to-left pass
-    both assigns and builds it.
+    Only the minimal split s = _last_sandwich(p) needs checking: moving it
+    left is impossible, and any assignment that works for a longer
+    sandwich-free tail also works for the longest.  Each sock of p[:s], in
+    order, takes the first pair i >= s, right to left, that _takes it.  The
+    witness is p[s:] reversed, with each placed sock set just before the
+    p[i] of its pair, so one pass from the end down to s builds it.
     """
     seq = tuple(p)
     split = _last_sandwich(seq)
-    left, right = seq[:split], seq[split:]
-    m = len(right)
     witness: list[int] = []
-    k = 0  # socks of left placed so far
-    for j in range(m - 1, -1, -1):
-        if k < split and j + 1 < m and right[j] == right[j + 1] and _takes(right, j, left[k]):
-            witness.append(left[k])
+    k = 0  # socks of seq[:split] placed so far
+    for i in range(len(seq) - 1, split - 1, -1):
+        if k < split and i + 1 < len(seq) and seq[i] == seq[i + 1] and _takes(seq, i, seq[k]):
+            witness.append(seq[k])
             k += 1
-        witness.append(right[j])
+        witness.append(seq[i])
     return _NOT_MEMBER if k < split else Membership(True, tuple(witness))
 
 

@@ -76,20 +76,19 @@ def _classical(q: SockSeq) -> list[SockSeq]:
 
 
 def _consecutive(t: SockSeq) -> list[SockSeq]:
-    """Every p with phi(p) == t under consecutive aba.  For each split s at
-    or after _last_sandwich(t), t[:s] goes in order into adjacent equal
-    pairs of right = t[s:], taken right to left, one sock per pair, each
-    pair taking its sock by the pair rule _takes.  p is right reversed with
-    each sock set just before the right[j] of its pair."""
+    """Every p with phi(p) == t under consecutive aba.  The adjacent equal
+    pairs t[i] == t[i+1] are found once.  For each split s at or after
+    _last_sandwich(t), t[:s] goes in order into pairs at or after s, taken
+    right to left, one sock per pair, by the pair rule _takes.  p is t[s:]
+    reversed, with each sock set just before the t[i] of its pair."""
     found = []
+    pairs = [i for i in range(len(t) - 2, -1, -1) if t[i] == t[i + 1]]
     for s in range(_last_sandwich(t), len(t) + 1):
-        left, right, m = t[:s], t[s:], len(t) - s
-        pairs = [j for j in range(m - 2, -1, -1) if right[j] == right[j + 1]]
-        for chosen in combinations(pairs, s):
-            if all(_takes(right, j, sock) for sock, j in zip(left, chosen)):
-                host = dict(zip(chosen, left))
-                found.append(tuple(v for j in range(m - 1, -1, -1)
-                                   for v in ((host[j], right[j]) if j in host else (right[j],))))
+        for chosen in combinations([i for i in pairs if i >= s], s):
+            if all(_takes(t, i, sock) for sock, i in zip(t, chosen)):
+                host = dict(zip(chosen, t))
+                found.append(tuple(v for i in range(len(t) - 1, s - 1, -1)
+                                   for v in ((host[i], t[i]) if i in host else (t[i],))))
     return found
 
 

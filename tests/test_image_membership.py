@@ -27,9 +27,9 @@ from socksort.image_membership import (
     phi_cons_via_sandwich,
     sandwich_decompose,
 )
-from socksort.patterns import ABA_CLASSICAL, ABA_CONSECUTIVE
+from socksort.patterns import ABA_CLASSICAL, ABA_CONSECUTIVE, _prepare
 from socksort.preimage_fertility import preimages_of
-from socksort.stack_machine import phi
+from socksort.stack_machine import _feed, _undo, phi
 from test_linearity import FAMILIES
 
 CONS_ABA = frozenset({ABA_CONSECUTIVE})
@@ -210,6 +210,80 @@ def test_in_image_cons_matches_brute_force(n):
         assert in_image_cons(q).member == (q in image), q
 
 
+class _OverBudget(Exception):
+    pass
+
+
+def _search_preimage(q, pats, budget=300_000):
+    """Some arrangement p of q's own multiset with phi(p) == q, or None.
+    phi permutes its input and commutes with renaming, so q is an image
+    exactly when such a p exists.  Socks are pushed with the stack
+    machine's own _feed and _undo, so the search shares no code with
+    image_membership.  A branch is pruned when the output so far is not a
+    prefix of q, or when the stack read top to bottom, the order its socks
+    leave in, is not a subsequence of the rest of q.  A failed state is
+    remembered by its output length and stack, which fix the socks left to
+    push.  Raises _OverBudget after budget search nodes."""
+    must_pop = _prepare(frozenset(pats))
+    q = list(q)
+    left = Counter(q)
+    stack, out, p, failed = [], [], [], set()
+    nodes = 0
+
+    def fits(mark):  # out[:mark] is known to be a prefix of q
+        rest = iter(q[len(out):])
+        return out[mark:] == q[mark:len(out)] and all(sock in rest for sock in reversed(stack))
+
+    def search():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _OverBudget
+        if len(p) == len(q):  # fits held, so out + stack[::-1] == q
+            return True
+        state = (len(out), tuple(stack))
+        if state in failed:
+            return False
+        for sock in [sock for sock, copies in left.items() if copies]:
+            mark = len(out)
+            _feed(must_pop, stack, out, (sock,))
+            left[sock] -= 1
+            p.append(sock)
+            if fits(mark) and search():
+                return True
+            p.pop()
+            left[sock] += 1
+            _undo(stack, out, mark)
+        failed.add(state)
+        return False
+
+    return tuple(p) if search() else None
+
+
+def test_in_image_cons_agrees_with_a_machine_search_near_the_image():
+    # A referee for both verdicts past brute-force lengths: words next to
+    # the ~aba image, of length 12-16, judged by _search_preimage.  A word
+    # over the search's budget fails too.
+    rng = random.Random(18)
+    words = [_perturbed(standardize(phi(random_standardized(rng.randint(12, 16), rng),
+                                        CONS_ABA)), rng) for _ in range(100)]
+    failing, members = [], 0
+    for q in words:
+        try:
+            p = _search_preimage(q, CONS_ABA)
+        except _OverBudget:
+            failing.append((len(q), q, "over budget"))
+            continue
+        members += p is not None
+        if (p is not None) != in_image_cons(q).member:
+            failing.append((len(q), q, f"search found {p}"))
+        elif p is not None and phi(p, CONS_ABA) != tuple(q):
+            failing.append((len(q), q, f"{p} does not map to it"))
+    _, shortest, why = min(failing, default=(0, (), ""))
+    assert not failing, f"{len(failing)} failing, shortest: {format_sequence(shortest)} ({why})"
+    assert 0 < members < len(words)
+
+
 # ---------------------------------------------------------------------------
 # both maps at the preimage-listing cap
 
@@ -230,11 +304,15 @@ def preimage_counts_at_length_10():
                          ids=["cons", "classical"])
 def test_membership_matches_preimage_search_at_length_10(pats, test,
                                                          preimage_counts_at_length_10):
-    # Random targets are mostly non-members under the classical map, so
-    # half the targets are images of random words.
-    rng = random.Random(10)
-    targets = [random_standardized(10, rng) for _ in range(10)]
-    targets += [standardize(phi(random_standardized(10, rng), pats)) for _ in range(10)]
+    # Every length-10 target under ~aba.  The classical map takes 20
+    # seeded targets; random targets are mostly non-members there, so half
+    # are images of random words.
+    if pats is CONS_ABA:
+        targets = list(enumerate_standardized(10))
+    else:
+        rng = random.Random(10)
+        targets = [random_standardized(10, rng) for _ in range(10)]
+        targets += [standardize(phi(random_standardized(10, rng), pats)) for _ in range(10)]
     brute = preimage_counts_at_length_10[pats]
     for t in targets:
         res, report = test(t), preimages_of(t, pats)
@@ -357,12 +435,17 @@ def _in_classical_image_by_intervals(q):
 
 
 def _near_classical_image(rng):
-    """The image of a random word of length 20..150, with 1-3 random
-    adjacent swaps or re-socks.  Lengths lean short: the referee's cost
-    grows about as the cube of the length, while faults in the refund
-    rules showed no less often on short words than on long ones."""
+    """The image of a random word of length 20..150, perturbed.  Lengths
+    lean short: the referee's cost grows about as the cube of the length,
+    while faults in the refund rules showed no less often on short words
+    than on long ones."""
     n = 20 + int(131 * rng.random() ** 3)
-    q = list(standardize(phi_aba_via_decomposition(random_standardized(n, rng))))
+    return _perturbed(standardize(phi_aba_via_decomposition(random_standardized(n, rng))), rng)
+
+
+def _perturbed(q, rng):
+    """Canonical q with 1-3 random adjacent swaps or re-socks, standardized."""
+    q = list(q)
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(q) - 1)
         if rng.random() < 0.5:
