@@ -4,26 +4,29 @@ records every other command prints.
 Each check returns a (name, passed, detail) tuple, which `run` turns into
 a `check` record before its `summary`; `fertility_staircase`,
 `sortable_counts` and `unsortability` judge the commands' own records.
-The three per-word checks share one brute-force pass, `outputs`, over
-every canonical word up to the bound, and `bench` reads its brute-force
-hits from the same pass.  Both read each length's rows in batches of
-_BATCH_ROWS and judge a batch column by column, mapping each library call
-over a column of words or outputs.  `per_word` keeps no word beyond one
-batch, only each length's two image sets and two accepted sets, and
-reports their symmetric difference in sorted order.  Library functions are
-looked up through their modules at call time, so a test can replace one
-and see the matching check fail.
+The three per-word checks make one brute-force pass per map over every
+canonical word up to the bound, each from its own sweep (`outputs`), and
+`bench` reads its brute-force hits the same way.  `_side_by_side` runs
+the classical pass in a forked child while the `~aba` pass runs here, or
+both here where it cannot fork onto two CPUs; the child sends back small
+tallies, merged into the same records either way.  A pass reads a
+length's rows in batches of _BATCH_ROWS, maps each library call over a
+batch's column of words or outputs, and keeps no word beyond its batch.
+Library functions are looked up through their modules at call time, so a
+test can replace one and see the matching check fail.
 """
 
 from __future__ import annotations
 
 import heapq
+import marshal
+import os
 import random
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import compress, islice, repeat
 from math import comb
-from operator import attrgetter, ne, not_, or_
+from operator import attrgetter, ne, not_
 
 from . import core, image_membership, multipattern, preimage_fertility, stack_machine
 from .core import format_sequence, parse_sequence
@@ -34,89 +37,132 @@ Result = tuple[str, bool, dict]
 BRUTE_HARD_CAP = 12
 POLY_LENGTH_CAP = 10_000
 DIVIDER = "‖"  # double vertical bar
-_BATCH_ROWS = 256  # rows per_word and bench read from a length's sweep and judge together
+_BATCH_ROWS = 256  # rows a pass reads from a length's sweep and judges together
 
 # Mixed pattern sets exercised by the unsortability suite: in each, one
 # shape revisits its first sock after an excursion and the other does not.
 UNSORTABLE_LABELS = ("abba,abab", "abca,abac")
 
 
-def outputs(n: int) -> Iterator[tuple[core.SockSeq, ...]]:
+def outputs(n: int, pats: PatternSet) -> Iterator[tuple[core.SockSeq, core.SockSeq]]:
     """Every canonical length-n word, in lexicographic order, with its
-    one-pass outputs under preimage_fertility.MAPS, ~aba then aba, from one
-    sweep of the stack machine."""
-    return stack_machine.sweep(n, tuple(preimage_fertility.MAPS.values()))
+    one-pass output under pats, from one sweep of the stack machine."""
+    return stack_machine.sweep(n, (pats,))
+
+
+def _side_by_side(func: Callable, here: tuple, there: tuple) -> tuple:
+    """(func(*here), func(*there)).  Where this process may use two or more
+    CPUs (sched_getaffinity; Linux), func(*there) runs in a forked child
+    pinned to the last of them, func(*here) here on the others: the
+    scheduler may leave both on one CPU.  The child sends its small value or
+    its exception back through a pipe with marshal and ends with os._exit;
+    an exception here kills and reaps it.  Elsewhere both run here."""
+    cpus = sorted(getattr(os, "sched_getaffinity", lambda _: ())(0))
+    if len(cpus) < 2:
+        return func(*here), func(*there)
+    read, write = os.pipe()
+    if not (pid := os.fork()):
+        try:
+            try:
+                os.sched_setaffinity(0, cpus[-1:])
+                result = True, func(*there)
+            except Exception as exc:
+                result = False, f"{type(exc).__name__}: {exc}"
+            os.write(write, marshal.dumps(result))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    os.sched_setaffinity(0, cpus[:-1])
+    with os.fdopen(read, "rb") as pipe:
+        try:
+            value = func(*here)
+            data = pipe.read()
+        except BaseException:
+            from signal import SIGKILL
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        finally:
+            os.sched_setaffinity(0, cpus)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not data:
+        raise RuntimeError(f"the forked pass ended without a value, exit code {code}")
+    done, theirs = marshal.loads(data)
+    if not done:
+        raise RuntimeError(f"the forked pass raised {theirs}")
+    return value, theirs
+
+
+def _map_pass(max_n: int, pats: PatternSet, evaluator: Callable, test: Callable,
+              witnessed: bool) -> tuple:
+    """One map's pass over every canonical word up to max_n: its sizes per
+    length, its image sizes summed, its first five mismatches between image
+    and test in (length, word) order as (word, test's verdict), its first
+    word evaluator gets wrong, and, when witnessed, its first member whose
+    witness does not map to it and the witnesses checked."""
+    phi, equivalent = stack_machine.phi, core.equivalent
+    member, witness_of = attrgetter("member"), attrgetter("witness")
+    sizes, mismatches, members, witnesses = [], [], 0, 0
+    bad_evaluator = bad_witness = None
+    for n in range(max_n + 1):
+        image, accepted = set(), set()
+        rows, size = outputs(n, pats), 0
+        while batch := list(islice(rows, _BATCH_ROWS)):
+            words, outs = zip(*batch)
+            size += len(words)
+            if bad_evaluator is None:
+                bad_evaluator = next(compress(words, map(ne, map(evaluator, words), outs)), None)
+            image.update(map(core.standardize, set(outs)))
+            verdicts = list(map(test, words))
+            flags = list(map(member, verdicts))
+            hits = list(compress(words, flags))
+            accepted.update(hits)
+            if witnessed and bad_witness is None:
+                held = map(equivalent, map(phi, map(witness_of, compress(verdicts, flags)),
+                                           repeat(pats)), hits)
+                bad_witness = next(compress(hits, map(not_, held)), None)
+                witnesses += len(hits)
+        sizes.append(size)
+        members += len(image)
+        mismatches += [(q, q in accepted)
+                       for q in heapq.nsmallest(5 - len(mismatches), image ^ accepted)]
+    return sizes, members, mismatches, bad_evaluator, bad_witness, witnesses
 
 
 def per_word(max_n: int) -> list[Result]:
-    """Evaluator identities, image membership and witness validity, in one
-    streamed pass per length over every canonical word up to max_n.
-
-    Each length's rows are read in batches of _BATCH_ROWS and a batch is
-    judged column by column: each library call is mapped over its words or
-    outputs, and the evaluator and witness checks take the batch's first
-    failing word, so the first in word order is the one reported.  No word
-    is kept beyond its batch.  A length keeps two sets per map, the
-    standardized outputs (its image) and the words the membership test
-    accepts, and their symmetric difference is reported in word order, then
-    map order, up to five.  Each distinct output of a batch is standardized
-    once."""
-    sandwich = image_membership.phi_cons_via_sandwich
-    decomposition = image_membership.phi_aba_via_decomposition
-    in_cons, in_aba = image_membership.in_image_cons, image_membership.in_image_aba
-    phi, equivalent, cons = stack_machine.phi, core.equivalent, preimage_fertility.CONS_ABA
-    member, witness_of = attrgetter("member"), attrgetter("witness")
-    per_length: list[int] = []
-    bad_evaluator = bad_witness = None
-    mismatches: list[dict] = []
+    """Evaluator identities, image membership and witness validity, from one
+    pass per map over every canonical word up to max_n (_map_pass), the
+    `~aba` pass with the witness check here and the classical one through
+    _side_by_side.  The merge keeps the earlier bad evaluator word by
+    (length, word) over both maps, and the first five mismatches in
+    (length, word, map) order."""
+    cons, aba = preimage_fertility.MAPS.values()
+    im = image_membership
+    passes = _side_by_side(_map_pass,
+                           (max_n, cons, im.phi_cons_via_sandwich, im.in_image_cons, True),
+                           (max_n, aba, im.phi_aba_via_decomposition, im.in_image_aba, False))
+    (sizes, members_cons, _, _, bad_witness, witnesses), (_, members_aba, *_) = passes
+    expected = [core.count_standardized(n) for n in range(max_n + 1)]
+    wrong_sizes = next((p[0] for p in passes if p[0] != expected), None)
+    bad_evaluator = min((p[3] for p in passes if p[3] is not None), key=lambda q: (len(q), q),
+                        default=None)
     names = tuple(preimage_fertility.MAPS)
-    members = dict.fromkeys(names, 0)
-    witnesses = 0
-    for n in range(max_n + 1):
-        images, accepted = (set(), set()), (set(), set())
-        rows, size = outputs(n), 0
-        while batch := list(islice(rows, _BATCH_ROWS)):
-            words, outs_cons, outs_aba = zip(*batch)
-            size += len(words)
-            if bad_evaluator is None:
-                differs = map(or_, map(ne, map(sandwich, words), outs_cons),
-                              map(ne, map(decomposition, words), outs_aba))
-                bad_evaluator = next(compress(words, differs), None)
-            images[0].update(map(core.standardize, set(outs_cons)))
-            images[1].update(map(core.standardize, set(outs_aba)))
-            verdicts = list(map(in_cons, words))
-            flags = list(map(member, verdicts))
-            hits = list(compress(words, flags))
-            accepted[0].update(hits)
-            if bad_witness is None:
-                held = map(equivalent, map(phi, map(witness_of, compress(verdicts, flags)),
-                                           repeat(cons)), hits)
-                bad_witness = next(compress(hits, map(not_, held)), None)
-                witnesses += len(hits)
-            accepted[1].update(compress(words, map(member, map(in_aba, words))))
-        per_length.append(size)
-        for name, image in zip(names, images):
-            members[name] += len(image)
-        wrong = ((q, i) for i, (image, accepts) in enumerate(zip(images, accepted))
-                 for q in image ^ accepts)
-        for q, i in heapq.nsmallest(5 - len(mismatches), wrong):
-            mismatches.append({"map": names[i], "sequence": format_sequence(q),
-                               "algorithm": q in accepted[i], "brute": q in images[i]})
+    wrong = sorted((len(q), q, i, accepted) for i, p in enumerate(passes) for q, accepted in p[2])
+    mismatches = [{"map": names[i], "sequence": format_sequence(q), "algorithm": accepted,
+                   "brute": not accepted} for _, q, i, accepted in wrong[:5]]
 
-    if any(size != core.count_standardized(n) for n, size in enumerate(per_length)):
-        evaluators = False, {"reason": "enumeration size mismatch", "per_length": per_length}
+    if wrong_sizes is not None:
+        evaluators = False, {"reason": "enumeration size mismatch", "per_length": wrong_sizes}
     elif bad_evaluator is not None:
         evaluators = False, {"sequence": format_sequence(bad_evaluator)}
     else:
-        evaluators = True, {"sequences": sum(per_length), "per_length": per_length}
+        evaluators = True, {"sequences": sum(sizes), "per_length": sizes}
     if mismatches:
         image = False, {"mismatches": mismatches}
     else:
-        image = True, {
-            "sequences": sum(per_length),
-            "members_cons": members["cons-aba"],
-            "members_aba": members["aba"],
-        }
+        image = True, {"sequences": sum(sizes), "members_cons": members_cons,
+                       "members_aba": members_aba}
     if bad_witness is not None:
         witness = False, {"sequence": format_sequence(bad_witness)}
     else:
@@ -350,9 +396,22 @@ def run(max_n: int) -> list[dict]:
              "passed": len(results) - failed, "failed": failed, "max_n": max_n}]
 
 
+def _brute_hits(n: int, pats: PatternSet, seq: core.SockSeq) -> tuple[int, bool]:
+    """How many canonical length-n words one sweep under pats enumerates,
+    and whether any of their outputs renames to seq."""
+    rows, enumerated, hit = outputs(n, pats), 0, False
+    while batch := list(islice(rows, _BATCH_ROWS)):
+        _, outs = zip(*batch)
+        enumerated += len(outs)
+        hit = hit or any(map(core.equivalent, outs, repeat(seq)))
+    return enumerated, hit
+
+
 def bench(lengths: list[int], seed: int) -> Iterator[dict]:
     """`socksort bench`'s records: per length, each map's timed verdict on one
-    seeded word, then up to BRUTE_HARD_CAP whether brute force agrees."""
+    seeded word, then up to BRUTE_HARD_CAP whether brute force agrees: one
+    sweep per map, the classical one in a forked child when _side_by_side
+    can use one."""
     if any(n > POLY_LENGTH_CAP for n in lengths):
         raise ValueError(f"lengths above {POLY_LENGTH_CAP} are out of bounds")
     rng = random.Random(seed)
@@ -367,11 +426,9 @@ def bench(lengths: list[int], seed: int) -> Iterator[dict]:
                    "seconds": time.perf_counter() - t0}
         if n <= BRUTE_HARD_CAP:
             t0 = time.perf_counter()
-            rows, enumerated, hits = outputs(n), 0, [False] * len(members)
-            while batch := list(islice(rows, _BATCH_ROWS)):
-                _, *columns = zip(*batch)
-                enumerated += len(batch)
-                hits = [hit or any(map(core.equivalent, column, repeat(seq)))
-                        for hit, column in zip(hits, columns)]
+            (enumerated, hit_cons), (seen, hit_aba) = _side_by_side(
+                _brute_hits, *((n, pats, seq) for pats in preimage_fertility.MAPS.values()))
             yield {"record": "brute", "length": n, "enumerated": enumerated,
-                   "agree": hits == members, "seconds": time.perf_counter() - t0}
+                   "agree": seen == enumerated and [hit_cons, hit_aba] == members,
+                   "seconds": time.perf_counter() - t0}
+

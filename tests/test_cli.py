@@ -2,9 +2,12 @@ import ast
 import dataclasses
 import io
 import json
+import os
 import random
 import re
 import shlex
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -442,28 +445,43 @@ def test_verify_reports_the_first_five_mismatches_in_word_then_map_order(monkeyp
     assert all(ok for ok, _ in results.values())
 
 
-def test_verify_per_word_holds_at_most_one_batch(monkeypatch):
+@pytest.fixture
+def in_process(monkeypatch):
+    """verify runs both passes in this process, as with one CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+FORKS = pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+    reason="verify forks only where os.fork exists and os.sched_getaffinity offers two CPUs")
+
+
+def test_verify_per_word_holds_at_most_one_batch(monkeypatch, in_process):
     # A batch is judged before the next one is requested, so no length is
     # held whole; length 8 has 4,140 rows, so its batches are really cut.
+    # Both passes run here, one after the other, so both are watched.
     calls = 0
     lookahead = []
-    real_test, real_outputs = image_membership.in_image_cons, verify.outputs
+    real_outputs = verify.outputs
 
-    def counted(q):
-        nonlocal calls
-        calls += 1
-        return real_test(q)
+    def counted(real):
+        def test(q):
+            nonlocal calls
+            calls += 1
+            return real(q)
+        return test
 
-    def streamed(n):
+    def streamed(n, pats):
         start = calls
-        for requested, row in enumerate(real_outputs(n), 1):
+        for requested, row in enumerate(real_outputs(n, pats), 1):
             lookahead.append(requested - (calls - start))
             yield row
 
-    monkeypatch.setattr(image_membership, "in_image_cons", counted)
+    for name in ("in_image_cons", "in_image_aba"):
+        monkeypatch.setattr(image_membership, name, counted(getattr(image_membership, name)))
     monkeypatch.setattr(verify, "outputs", streamed)
     assert all(ok for _, ok, _ in verify.per_word(8))
-    assert calls == sum(core.count_standardized(n) for n in range(9))
+    assert calls == 2 * sum(core.count_standardized(n) for n in range(9))
     assert max(lookahead) == verify._BATCH_ROWS < core.count_standardized(8)
 
 
@@ -478,7 +496,8 @@ def _wrong_output_on(words):
 SPLIT_WORDS = tuple(enumerate_standardized(5))[6:9:2]
 
 # The functions each case breaks, and how: BROKEN_PER_WORD's three cases,
-# the first-five-mismatches test's, and a wrong evaluator on SPLIT_WORDS.
+# the first-five-mismatches test's, a wrong evaluator on SPLIT_WORDS, and
+# wrong evaluators under both maps.
 BATCH_CASES = {
     **{check: [(function, breakage)]
        for check, (function, breakage, _) in BROKEN_PER_WORD.items()},
@@ -487,6 +506,11 @@ BATCH_CASES = {
         ("in_image_aba", _verdict_on(("abcb", "abba", "abaaa", "aabab"), True)),
     ],
     "split-evaluator": [("phi_aba_via_decomposition", _wrong_output_on(SPLIT_WORDS))],
+    # aabb sorts before aba, but aba is the shorter word.
+    "two-map-evaluators": [
+        ("phi_cons_via_sandwich", _wrong_output_on((core.parse_sequence("aabb"),))),
+        ("phi_aba_via_decomposition", _wrong_output_on((core.parse_sequence("aba"),))),
+    ],
 }
 
 
@@ -496,6 +520,16 @@ def test_verify_reports_the_earlier_of_two_bad_evaluator_words(monkeypatch):
     results = verify.per_word(5)
     assert results[0] == ("evaluator-identities", False,
                           {"sequence": core.format_sequence(SPLIT_WORDS[0])})
+    assert all(ok for _, ok, _ in results[1:])
+
+
+def test_verify_reports_the_earliest_bad_evaluator_word_over_both_maps(monkeypatch):
+    # The earliest by (length, word), whichever map's evaluator it breaks.
+    for function, breakage in BATCH_CASES["two-map-evaluators"]:
+        monkeypatch.setattr(image_membership, function,
+                            breakage(getattr(image_membership, function)))
+    results = verify.per_word(5)
+    assert results[0] == ("evaluator-identities", False, {"sequence": "aba"})
     assert all(ok for _, ok, _ in results[1:])
 
 
@@ -509,6 +543,118 @@ def test_verify_per_word_does_not_depend_on_the_batch_size(monkeypatch, case):
     for rows in (1, 2, 7):
         monkeypatch.setattr(verify, "_BATCH_ROWS", rows)
         assert verify.per_word(5) == default, f"{rows} rows a batch"
+
+
+def _counted_forks(monkeypatch):
+    """A list that grows by one at each os.fork from here on."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@FORKS
+@pytest.mark.parametrize("case", ["unbroken", *sorted(BATCH_CASES)])
+def test_verify_per_word_is_the_same_forked_and_in_process(monkeypatch, case):
+    for function, breakage in BATCH_CASES.get(case, []):
+        monkeypatch.setattr(image_membership, function,
+                            breakage(getattr(image_membership, function)))
+    forks = _counted_forks(monkeypatch)
+    forked = [verify.per_word(n) for n in range(9)]
+    assert len(forks) == 9
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert [verify.per_word(n) for n in range(9)] == forked
+    assert len(forks) == 9
+    _assert_no_child_left()
+    if case == "unbroken":
+        golden = (GOLDEN / "verify8.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+        assert forked[8] == [(r["name"], r["status"] == "PASS", r["detail"])
+                             for r in map(json.loads, golden)]
+    elif case in BROKEN_PER_WORD:
+        assert (case, False, BROKEN_PER_WORD[case][2]) in forked[5]
+
+
+@FORKS
+def test_bench_brute_force_is_the_same_forked_and_in_process(monkeypatch):
+    def brute():
+        return [{k: v for k, v in r.items() if k != "seconds"}
+                for r in verify.bench([0, 1, 6, 9], 5) if r["record"] == "brute"]
+
+    forks = _counted_forks(monkeypatch)
+    forked = brute()
+    assert len(forks) == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    golden = map(json.loads, (GOLDEN / "bench.jsonl").read_text(encoding="utf-8").splitlines())
+    assert brute() == forked == [r for r in golden if r["record"] == "brute"]
+    assert len(forks) == 4
+
+
+def _raising_on(word, error):
+    def breakage(real):
+        def test(q):
+            if q == core.parse_sequence(word):
+                raise error(f"no verdict for {word}")
+            return real(q)
+        return test
+    return breakage
+
+
+@FORKS
+def test_verify_names_the_exception_of_the_forked_pass(monkeypatch):
+    monkeypatch.setattr(image_membership, "in_image_aba",
+                        _raising_on("aabb", ValueError)(image_membership.in_image_aba))
+    with pytest.raises(RuntimeError, match="raised ValueError: no verdict for aabb$"):
+        verify.per_word(5)
+    _assert_no_child_left()
+
+
+@FORKS
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_verify_kills_and_reaps_the_child_when_its_own_pass_fails(monkeypatch, error):
+    # The child's pass stalls for a minute, so only a kill ends it in time.
+    parent = os.getpid()
+    real = image_membership.in_image_aba
+
+    def stalled(q):
+        if os.getpid() == parent:
+            return real(q)
+        time.sleep(60)
+        raise TimeoutError("the child was not killed")
+
+    monkeypatch.setattr(image_membership, "in_image_aba", stalled)
+    monkeypatch.setattr(image_membership, "in_image_cons",
+                        _raising_on("aabb", error)(image_membership.in_image_cons))
+    start = time.monotonic()
+    with pytest.raises(error, match="no verdict for aabb"):
+        verify.per_word(5)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+@FORKS
+def test_verify_names_the_status_of_a_child_that_dies(monkeypatch):
+    parent = os.getpid()
+    real = image_membership.in_image_aba
+
+    def dying(q):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(q)
+
+    monkeypatch.setattr(image_membership, "in_image_aba", dying)
+    with pytest.raises(RuntimeError, match=f"without a value, exit code -{signal.SIGKILL:d}$"):
+        verify.per_word(5)
+    _assert_no_child_left()
 
 
 def _table_with(**changes):
@@ -849,11 +995,10 @@ def test_map_choices_come_from_the_one_table():
 
 
 def test_verify_outputs_follow_the_one_table():
-    maps = preimage_fertility.MAPS.values()
-    for n in range(6):
-        for row in verify.outputs(n):
-            q = row[0]
-            assert row == (q, *(stack_machine.phi(q, pats) for pats in maps)), q
+    for pats in preimage_fertility.MAPS.values():
+        for n in range(6):
+            for word, out in verify.outputs(n, pats):
+                assert out == stack_machine.phi(word, pats), word
 
 
 def _readme_examples():

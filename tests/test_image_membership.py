@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socksort import verify
 from socksort.core import (
     enumerate_standardized,
     format_sequence,
@@ -29,7 +28,7 @@ from socksort.image_membership import (
 )
 from socksort.patterns import ABA_CLASSICAL, ABA_CONSECUTIVE, _prepare
 from socksort.preimage_fertility import preimages_of
-from socksort.stack_machine import _feed, _undo, phi
+from socksort.stack_machine import _feed, _undo, phi, sweep
 from test_linearity import FAMILIES
 
 CONS_ABA = frozenset({ABA_CONSECUTIVE})
@@ -260,28 +259,45 @@ def _search_preimage(q, pats, budget=300_000):
     return tuple(p) if search() else None
 
 
-def test_in_image_cons_agrees_with_a_machine_search_near_the_image():
-    # A referee for both verdicts past brute-force lengths: words next to
-    # the ~aba image, of length 12-16, judged by _search_preimage.  A word
-    # over the search's budget fails too.
-    rng = random.Random(18)
-    words = [_perturbed(standardize(phi(random_standardized(rng.randint(12, 16), rng),
-                                        CONS_ABA)), rng) for _ in range(100)]
+def _judge_by_search(words, pats, test):
+    """Fails, naming the shortest failing word, unless _search_preimage
+    agrees with test's verdict on each of words and each p it finds maps to
+    its word; a word over the search's budget fails too.  Returns how many
+    of words are members."""
     failing, members = [], 0
     for q in words:
         try:
-            p = _search_preimage(q, CONS_ABA)
+            p = _search_preimage(q, pats)
         except _OverBudget:
             failing.append((len(q), q, "over budget"))
             continue
         members += p is not None
-        if (p is not None) != in_image_cons(q).member:
+        if (p is not None) != test(q).member:
             failing.append((len(q), q, f"search found {p}"))
-        elif p is not None and phi(p, CONS_ABA) != tuple(q):
+        elif p is not None and phi(p, pats) != tuple(q):
             failing.append((len(q), q, f"{p} does not map to it"))
     _, shortest, why = min(failing, default=(0, (), ""))
     assert not failing, f"{len(failing)} failing, shortest: {format_sequence(shortest)} ({why})"
-    assert 0 < members < len(words)
+    return members
+
+
+def test_in_image_cons_agrees_with_a_machine_search_near_the_image():
+    # A referee for both verdicts past brute-force lengths: words next to
+    # the ~aba image, of length 12-16, judged by _search_preimage.
+    rng = random.Random(18)
+    words = [_perturbed(standardize(phi(random_standardized(rng.randint(12, 16), rng),
+                                        CONS_ABA)), rng) for _ in range(100)]
+    assert 0 < _judge_by_search(words, CONS_ABA, in_image_cons) < len(words)
+
+
+def test_in_image_aba_agrees_with_a_machine_search_near_the_image():
+    # The same referee next to the classical image, at length 12-24.  The
+    # search's cost grows steeply with the length (up to about 2 s for one
+    # word of length 24), so lengths lean short.
+    rng = random.Random(20)
+    words = [_perturbed(standardize(phi(random_standardized(12 + int(13 * rng.random() ** 2), rng),
+                                        CLASSICAL_ABA)), rng) for _ in range(40)]
+    assert 0 < _judge_by_search(words, CLASSICAL_ABA, in_image_aba) < len(words)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +309,7 @@ def preimage_counts_at_length_10():
     """Brute-force preimage counts of every length-10 image, per map: one
     stack-machine sweep over all 115,975 canonical words."""
     counts = {CONS_ABA: Counter(), CLASSICAL_ABA: Counter()}
-    for _, out_cons, out_aba in verify.outputs(10):
+    for _, out_cons, out_aba in sweep(10, (CONS_ABA, CLASSICAL_ABA)):
         counts[CONS_ABA][standardize(out_cons)] += 1
         counts[CLASSICAL_ABA][standardize(out_aba)] += 1
     return counts
