@@ -69,7 +69,7 @@ def count_one_stack_sortable(
     rows: list[tuple[int, ...]] = []
     for n in range(1, max_n + 1):
         row = [0] * n
-        for q, out in sweep(n, (pats_f,), lambda _, outputs: not is_sorted(outputs[0])):
+        for q, out in sweep(n, pats_f, lambda _, out: not is_sorted(out)):
             if is_sorted(out):
                 row[len(set(q)) - 1] += 1
         totals.append(sum(row))
@@ -163,7 +163,7 @@ def unsortable_witness(pats: Iterable[Pattern], m: int) -> WitnessReport:
         case = 1
     for n in range(2, WITNESS_SEARCH_LEN + 1):
         budget = count_standardized(n) + 1
-        for q, out in sweep(n, (pats_f,)):
+        for q, out in sweep(n, pats_f):
             if is_sorted(q):
                 continue
             # q's orbit after its first pass decides it; budget passes over

@@ -10,7 +10,7 @@ at any moment, so the map is a function.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .core import SockSeq, is_sorted, standardize
@@ -76,42 +76,39 @@ def phi_trace(p: Iterable[int], pats: Iterable[Pattern]) -> SortTrace:
 
 
 def sweep(
-    n: int, pattern_sets: Sequence[Iterable[Pattern]],
-    prune: Callable[[list[int], list[list[int]]], bool] | None = None,
-) -> Iterator[tuple[SockSeq, ...]]:
-    """Every canonical length-n word, in lexicographic order, followed by its
-    one-pass output under each pattern set.  The map is online, so words that
-    share a prefix share its stack and emitted output: each sock is pushed
-    once per prefix and its pops are undone on backtrack.  prune(prefix,
-    outputs) sees each shorter prefix (a list it must not change) and its
-    own one-pass output under each set; True skips the words extending it.
-    Stack socks leave top first, so a prefix's output is a subsequence of
-    the output of every word extending it."""
+    n: int, pats: Iterable[Pattern],
+    prune: Callable[[list[int], list[int]], bool] | None = None,
+) -> Iterator[tuple[SockSeq, SockSeq]]:
+    """Every canonical length-n word, in lexicographic order, with its one-pass
+    output under pats.  The map is online, so words that share a prefix share
+    its stack and emitted output: each sock is pushed once per prefix and its
+    pops are undone on backtrack.  prune(prefix, output) sees each shorter
+    prefix (a list it must not change) and its own one-pass output; True
+    skips the words extending it.  Stack socks leave top first, so a prefix's
+    output is a subsequence of the output of every word extending it."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    machines = [(_prepare(frozenset(pats)), [], []) for pats in pattern_sets]
+    must_pop = _prepare(frozenset(pats))
+    stack: list[int] = []
+    out: list[int] = []
     word: list[int] = []
 
-    def grow() -> Iterator[tuple[SockSeq, ...]]:
-        marks = [(stack, out, len(out)) for _, stack, out in machines]
-        for v in range(max(word, default=-1) + 2):
+    def grow(top: int) -> Iterator[tuple[SockSeq, SockSeq]]:
+        mark = len(out)
+        for v in range(top + 2):
             word.append(v)
-            for m in machines:
-                _feed(*m, (v,))
+            _feed(must_pop, stack, out, (v,))
             if len(word) == n:
-                yield tuple(word), *[tuple(out + stack[::-1]) for _, stack, out in machines]
-            elif prune is None or not prune(
-                word, [out + stack[::-1] for _, stack, out in machines]
-            ):
-                yield from grow()
-            for m in marks:
-                _undo(*m)
+                yield tuple(word), tuple(out + stack[::-1])
+            elif prune is None or not prune(word, out + stack[::-1]):
+                yield from grow(max(top, v))
+            _undo(stack, out, mark)
             word.pop()
 
     if not n:
-        yield ((),) * (len(machines) + 1)
+        yield (), ()
         return
-    yield from grow()
+    yield from grow(-1)
 
 
 class IterationOutcome(enum.Enum):

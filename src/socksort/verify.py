@@ -47,7 +47,7 @@ UNSORTABLE_LABELS = ("abba,abab", "abca,abac")
 def outputs(n: int, pats: PatternSet) -> Iterator[tuple[core.SockSeq, core.SockSeq]]:
     """Every canonical length-n word, in lexicographic order, with its
     one-pass output under pats, from one sweep of the stack machine."""
-    return stack_machine.sweep(n, (pats,))
+    return stack_machine.sweep(n, pats)
 
 
 def _side_by_side(func: Callable, here: tuple, there: tuple) -> tuple:

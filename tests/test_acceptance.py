@@ -206,7 +206,7 @@ def test_c07_sortable_counts_double_and_follow_the_triangle():
     for n in range(11):
         built = build_one_stack_sortable(n)
         brute = tuple(
-            q for q, out in stack_machine.sweep(n, [ABA_AAB_PINNED]) if is_sorted(out)
+            q for q, out in stack_machine.sweep(n, ABA_AAB_PINNED) if is_sorted(out)
         )
         assert built == brute, f"construction deviates from brute force at n={n}"
 

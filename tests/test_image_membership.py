@@ -307,12 +307,9 @@ def test_in_image_aba_agrees_with_a_machine_search_near_the_image():
 @pytest.fixture(scope="module")
 def preimage_counts_at_length_10():
     """Brute-force preimage counts of every length-10 image, per map: one
-    stack-machine sweep over all 115,975 canonical words."""
-    counts = {CONS_ABA: Counter(), CLASSICAL_ABA: Counter()}
-    for _, out_cons, out_aba in sweep(10, (CONS_ABA, CLASSICAL_ABA)):
-        counts[CONS_ABA][standardize(out_cons)] += 1
-        counts[CLASSICAL_ABA][standardize(out_aba)] += 1
-    return counts
+    stack-machine sweep per map over all 115,975 canonical words."""
+    return {pats: Counter(standardize(out) for _, out in sweep(10, pats))
+            for pats in (CONS_ABA, CLASSICAL_ABA)}
 
 
 @pytest.mark.parametrize("pats,test", [(CONS_ABA, in_image_cons),

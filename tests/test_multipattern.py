@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from socksort import multipattern, stack_machine
 from socksort.core import enumerate_standardized, is_sorted, parse_sequence, standardize
 from socksort.multipattern import (
     ABA_AAB_PINNED,
@@ -63,6 +64,28 @@ class TestCounts:
             assert table.matches_doubling(n), n
             row = table.by_distinct[n - 1]
             assert row == tuple(comb(n - 1, r - 1) for r in range(1, n + 1)), n
+
+    def test_prune_reach_at_length_9(self, monkeypatch):
+        # README quotes it: at length 9 under the pinned set the count's
+        # prune judges 576 prefixes and reaches 704 of the 21,147 words.  A
+        # prune that is passed but ignored keeps every count and loses this.
+        reach = {}
+
+        def counting_sweep(n, pats, prune=None):
+            judged = 0
+
+            def judge(prefix, output):
+                nonlocal judged
+                judged += 1
+                return prune(prefix, output)
+
+            rows = list(stack_machine.sweep(n, pats, judge if prune else None))
+            reach[n] = judged, len(rows)
+            return iter(rows)
+
+        monkeypatch.setattr(multipattern, "sweep", counting_sweep)
+        assert count_one_stack_sortable(9).totals[-1] == 256
+        assert reach[9] == (576, 704)
 
     @pytest.mark.parametrize("aab_mode", list(Mode), ids=lambda m: m.value)
     @pytest.mark.parametrize("aba_mode", list(Mode), ids=lambda m: m.value)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from socksort import stack_machine
 from socksort.core import (
+    count_standardized,
     enumerate_standardized,
     is_sorted,
     random_standardized,
@@ -262,47 +264,67 @@ def test_mixed_set_witness_maps_to_itself_at_length_99(text):
 SWEEP_SETS = ("~aba", "aba", "aba,aab", "~aba,~aab", "abba,abab", "abca,abac", "~abc")
 
 
-def _phi_rows(words, sets):
-    return [(q, *(phi(q, pats) for pats in sets)) for q in words]
+def _phi_rows(words, pats):
+    return [(q, phi(q, pats)) for q in words]
 
 
 @pytest.mark.parametrize("text", SWEEP_SETS)
 def test_sweep_matches_phi_word_for_word(text):
-    sets = [parse_patterns(text)]
+    pats = parse_patterns(text)
     for n in range(9):
-        assert list(sweep(n, sets)) == _phi_rows(enumerate_standardized(n), sets), n
+        assert list(sweep(n, pats)) == _phi_rows(enumerate_standardized(n), pats), n
 
 
-def test_sweep_runs_several_sets_at_once():
-    sets = [parse_patterns(text) for text in SWEEP_SETS]
+@pytest.mark.parametrize("text", SWEEP_SETS)
+def test_sweep_pushes_each_sock_once_per_prefix(text, monkeypatch):
+    # Words sharing a prefix share its pushes, and every push and undo goes
+    # through the one push step: B(1) + ... + B(n) calls of each, 5,295 at 8.
+    calls = Counter()
+
+    def counted(name):
+        step = getattr(stack_machine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return step(*args)
+
+        return wrapper
+
+    for name in ("_feed", "_undo"):
+        monkeypatch.setattr(stack_machine, name, counted(name))
+    pats = parse_patterns(text)
     for n in range(9):
-        assert list(sweep(n, sets)) == _phi_rows(enumerate_standardized(n), sets), n
+        calls.clear()
+        list(sweep(n, pats))
+        prefixes = sum(count_standardized(k) for k in range(1, n + 1))
+        assert calls == Counter({"_feed": prefixes, "_undo": prefixes}), n
+    assert prefixes == 5295
 
 
 def test_sweep_prune_skips_subtrees_only():
-    sets = [CLASSICAL_ABA]
-    # Words whose second sock repeats the first: prune every other prefix
-    # of length 2, and the leaves are exactly those words.
-    got = list(sweep(5, sets, prune=lambda word, _: len(word) == 2 and word[1] != 0))
-    want = [row for row in _phi_rows(enumerate_standardized(5), sets) if row[0][1] == 0]
-    assert got == want
+    for pats in (CONS_ABA, CLASSICAL_ABA):
+        # Words whose second sock repeats the first: prune every other prefix
+        # of length 2, and the leaves are exactly those words.
+        got = list(sweep(5, pats, prune=lambda word, _: len(word) == 2 and word[1] != 0))
+        want = [row for row in _phi_rows(enumerate_standardized(5), pats) if row[0][1] == 0]
+        assert got == want, pats
 
 
 def test_sweep_prune_sees_every_prefix_and_its_one_pass_output():
-    sets = [CONS_ABA, CLASSICAL_ABA]
-    seen = []
-
-    def record(word, outputs):
-        seen.append((tuple(word), tuple(map(tuple, outputs))))
-        return False
-
-    list(sweep(6, sets, prune=record))
     prefixes = [q for n in range(1, 6) for q in enumerate_standardized(n)]
-    assert sorted(word for word, _ in seen) == sorted(prefixes)
-    for word, outputs in seen:
-        assert outputs == tuple(phi(word, pats) for pats in sets), word
-    # In aba the second a pops b under both maps; the flush then adds both a's.
-    assert dict(seen)[(0, 1, 0)] == ((1, 0, 0), (1, 0, 0))
+    for pats in (CONS_ABA, CLASSICAL_ABA):
+        seen = []
+
+        def record(word, output):
+            seen.append((tuple(word), tuple(output)))
+            return False
+
+        list(sweep(6, pats, prune=record))
+        assert sorted(word for word, _ in seen) == sorted(prefixes), pats
+        for word, output in seen:
+            assert output == phi(word, pats), (word, pats)
+        # In aba the second a pops b under both maps; the flush then adds both a's.
+        assert dict(seen)[(0, 1, 0)] == (1, 0, 0), pats
 
 
 def _is_subsequence(small, big):
@@ -323,4 +345,4 @@ def test_prefix_output_is_a_subsequence_of_the_word_output(text):
 
 def test_sweep_rejects_bad_lengths():
     with pytest.raises(ValueError):
-        list(sweep(-1, [CONS_ABA]))
+        list(sweep(-1, CONS_ABA))
